@@ -14,6 +14,7 @@ from .checker import (
     LoopCert,
     ObligationResult,
     PrecedenceCert,
+    ProofAlarm,
     ProofOutcome,
     SimulationAlarm,
     SimulationResult,
@@ -29,7 +30,6 @@ from .csrewrite import (
     ReductionGraph,
     enumerate_original_terms,
     explore,
-    mu_steps,
     mu_terminating_on_seeds,
     plain_steps,
 )
@@ -42,9 +42,6 @@ from .ctrs import (
     Reduction,
     ReductionStep,
     Violation,
-    all_conditional_steps,
-    conditional_step_at,
-    reachable,
     validate_dctrs,
 )
 from .fmt import (

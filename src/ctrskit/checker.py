@@ -16,7 +16,13 @@ prover for quasi-decreasingness.
   (termination of the unraveled system is inherited by its context-sensitive
   restriction, so by the characterization the conditional system is
   quasi-decreasing); NO when an active-position loop starts from an original
-  term; MAYBE otherwise.
+  term; MAYBE otherwise.  Both methods always run, and the experiment runner
+  takes its verdicts from this prover.
+
+Every search here goes through the two primitives of :mod:`ctrskit.ctrs`:
+the bounded breadth-first search ``bfs`` (simulating reductions, the
+witness-order graph and its per-source reachability) and the depth-first
+cycle finder ``dfs`` (the well-foundedness obligation).
 """
 
 from __future__ import annotations
@@ -27,11 +33,15 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .ctrs import (
     DEFAULT_FUEL,
     ConditionalEngine,
-    ConditionalRule,
     Dctrs,
     Fuel,
     Reduction,
     ReductionStep,
+    Search,
+    bfs,
+    dfs,
+    expansion_budget,
+    within_size,
 )
 from .csrewrite import MuEngine, enumerate_original_terms, mu_terminating_on_seeds
 from .lpo import Precedence, SignatureTooLargeError, orients, search_precedence
@@ -68,40 +78,14 @@ class SimulationResult(NamedTuple):
         return self.reduction is not None
 
 
-def _mu_reach(
-    engine: MuEngine, start: Term, goal: Term, fuel: Fuel
-) -> tuple[Optional[Reduction], bool]:
-    """Bounded BFS for a nonempty active-position reduction start ->+ goal."""
-    parent: dict[Term, ReductionStep] = {}
-    seen = {start}
-    queue = [start]
-    exhausted = False
-    expansions = 0
-    idx = 0
-    while idx < len(queue):
-        current = queue[idx]
-        idx += 1
-        expansions += 1
-        if expansions > fuel.max_steps:
-            exhausted = True
-            break
-        for step in engine.steps(current):
-            if term_size(step.target) > fuel.max_term_size:
-                exhausted = True
-                continue
-            if step.target == goal:
-                chain = []
-                here = current
-                while here != start:
-                    chain.append(parent[here])
-                    here = parent[here].source
-                chain.reverse()
-                return Reduction(start, tuple(chain + [step])), exhausted
-            if step.target not in seen:
-                seen.add(step.target)
-                parent[step.target] = step
-                queue.append(step.target)
-    return None, exhausted
+def _mu_search(engine: MuEngine, start: Term, goal: Term, fuel: Fuel) -> Search:
+    """Bounded search for a nonempty active-position reduction start ->+ goal."""
+    return bfs(
+        [start],
+        lambda t: within_size(engine.steps(t), fuel.max_term_size),
+        expansion_budget(fuel.max_steps),
+        goal,
+    )
 
 
 def check_simulation(
@@ -117,10 +101,10 @@ def check_simulation(
     or the engine is wrong.
     """
     eng = engine if engine is not None else MuEngine(system)
-    reduction, exhausted = _mu_reach(eng, step.source, step.target, fuel)
-    if reduction is None and not exhausted:
+    search = _mu_search(eng, step.source, step.target, fuel)
+    if search.path is None and not search.exhausted:
         raise SimulationAlarm(step)
-    return SimulationResult(reduction, exhausted)
+    return SimulationResult(search.path, search.exhausted)
 
 
 class CommutationError(Exception):
@@ -196,11 +180,23 @@ class ProofOutcome:
     certificate: Certificate
     provenance: str
     diagnostics: list[str] = field(default_factory=list)
+    # Per-method answers: "unravel+lpo" (YES or MAYBE), "loop-search" (NO or
+    # MAYBE), and "lpo-note" when the precedence search refused the signature.
+    methods: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         expected = {"YES": PrecedenceCert, "NO": LoopCert, "MAYBE": BoundsExhausted}
         if not isinstance(self.certificate, expected[self.verdict]):
             raise ValueError(f"{self.verdict} verdict with {type(self.certificate).__name__}")
+
+
+class ProofAlarm(Exception):
+    """The built-in methods contradict each other or a certificate fails to
+    re-validate: a soundness bug, never a verdict."""
+
+    def __init__(self, message: str, methods: dict[str, str]):
+        super().__init__(message)
+        self.methods = methods
 
 
 def prove_quasi_decreasing(
@@ -217,17 +213,40 @@ def prove_quasi_decreasing(
     cannot loop either, in particular not from original terms, which is
     equivalent to quasi-decreasingness.  NO: an active-position loop from an
     original term refutes that same property.  Everything else is MAYBE.
+
+    Both methods always run and ``methods`` records each one's answer.  A
+    disagreement, a precedence that fails re-validation, or a loop from a
+    non-original term raises :class:`ProofAlarm` instead of a verdict.
     """
     diagnostics: list[str] = []
+    methods: dict[str, str] = {}
     unraveled = unravel(system)
     precedence: Optional[Precedence] = None
     try:
         precedence = search_precedence(unraveled, precedence_cap)
     except SignatureTooLargeError as err:
         diagnostics.append(str(err))
+        methods["lpo-note"] = str(err)
+    methods["unravel+lpo"] = "MAYBE" if precedence is None else "YES"
+    if precedence is None:
+        diagnostics.append("exhaustive precedence search cannot orient the unraveled system")
+
+    if seeds is None:
+        seeds = enumerate_original_terms(system.signature, seed_size)
+        diagnostics.append(f"enumerated {len(seeds)} ground seed terms up to size {seed_size}")
+    loops = mu_terminating_on_seeds(seeds, unravel_cs(system), fuel)
+    methods["loop-search"] = "NO" if loops.is_loop else "MAYBE"
+    if not loops.is_loop:
+        diagnostics.append(f"loop search over seeds: {loops}")
+
+    if precedence is not None and not orients(unraveled, precedence):
+        raise ProofAlarm("precedence certificate failed re-validation", methods)
+    if loops.is_loop and not is_original(loops.witness.start):
+        raise ProofAlarm("loop witness does not start from an original term", methods)
+    if precedence is not None and loops.is_loop:
+        raise ProofAlarm("methods disagree: orientation found together with a loop", methods)
+
     if precedence is not None:
-        if not orients(unraveled, precedence):
-            raise AssertionError("precedence certificate failed re-validation")
         return ProofOutcome(
             "YES",
             PrecedenceCert(precedence),
@@ -235,32 +254,24 @@ def prove_quasi_decreasing(
             "to mu-termination on original terms, which is equivalent to "
             "quasi-decreasingness",
             diagnostics,
+            methods,
         )
-    diagnostics.append("exhaustive precedence search cannot orient the unraveled system")
-
-    if seeds is None:
-        seeds = enumerate_original_terms(system.signature, seed_size)
-        diagnostics.append(f"enumerated {len(seeds)} ground seed terms up to size {seed_size}")
-    cs = unravel_cs(system)
-    verdict = mu_terminating_on_seeds(seeds, cs, fuel)
-    if verdict.is_loop:
-        assert verdict.witness is not None
-        if not is_original(verdict.witness.start):
-            raise AssertionError("loop witness does not start from an original term")
+    if loops.is_loop:
         return ProofOutcome(
             "NO",
-            LoopCert(verdict.witness),
+            LoopCert(loops.witness),
             "an active-position loop starts from an original term, so the "
             "context-sensitive unraveling is not mu-terminating on original "
             "terms, which refutes quasi-decreasingness",
             diagnostics,
+            methods,
         )
-    diagnostics.append(f"loop search over seeds: {verdict}")
     return ProofOutcome(
         "MAYBE",
         BoundsExhausted(fuel),
         "no orienting precedence and no loop within bounds",
         diagnostics,
+        methods,
     )
 
 
@@ -297,108 +308,32 @@ class WitnessOrderReport:
         return self.obligations[number - 1]
 
 
-class _CombinedGraph:
-    """Reachable fragment of "one rewrite step or one active-child step"."""
-
-    def __init__(self) -> None:
-        self.nodes: dict[Term, None] = {}
-        self.succ: dict[Term, list[Term]] = {}
-        self.mu_edges: dict[Term, list[ReductionStep]] = {}
-        self.incomplete = False
-
-    def reachable_from(self, start: Term) -> dict[Term, None]:
-        """All strict successors of ``start`` (nonempty paths), in BFS order."""
-        seen: dict[Term, None] = {}
-        queue = list(self.succ.get(start, ()))
-        for node in queue:
-            seen.setdefault(node, None)
-        idx = 0
-        while idx < len(queue):
-            current = queue[idx]
-            idx += 1
-            for nxt in self.succ.get(current, ()):
-                if nxt not in seen:
-                    seen[nxt] = None
-                    queue.append(nxt)
-        return seen
+def _itself(t: Term) -> Term:
+    return t
 
 
-def _build_combined_graph(
+def _combined_graph(
     seeds: Sequence[Term], cs: Csrs, fuel: Fuel, engine: MuEngine
-) -> _CombinedGraph:
-    graph = _CombinedGraph()
-    queue: list[Term] = []
-    for seed in seeds:
-        if seed not in graph.nodes:
-            graph.nodes[seed] = None
-            queue.append(seed)
+) -> tuple[list[Term], dict[Term, list[Term]], bool]:
+    """Reachable fragment of "one rewrite step or one active-child step":
+    its nodes in BFS order, the successor lists of the expanded nodes, and
+    whether a bound cut it short.  A node too large to rewrite still gets its
+    active-child edges."""
+    succ: dict[Term, list[Term]] = {}
+
+    def successors(t: Term) -> list[Optional[Term]]:
+        out: list[Optional[Term]] = [None]  # too large to rewrite
+        if term_size(t) <= fuel.max_term_size:
+            steps = within_size(engine.steps(t), fuel.max_term_size)
+            out = [None if step is None else step.target for step in steps]
+        if isinstance(t, App) and t.args:
+            out += [t.args[i - 1] for i in sorted(cs.mu.active_indices(t.sym))]
+        succ[t] = [u for u in out if u is not None]
+        return out
+
     cap = min(500_000, fuel.max_steps * max(1, len(seeds)))
-    expansions = 0
-    idx = 0
-    while idx < len(queue):
-        current = queue[idx]
-        idx += 1
-        expansions += 1
-        if expansions > cap:
-            graph.incomplete = True
-            break
-        successors: list[Term] = []
-        if term_size(current) <= fuel.max_term_size:
-            steps = engine.steps(current)
-            graph.mu_edges[current] = list(steps)
-            for step in steps:
-                if term_size(step.target) > fuel.max_term_size:
-                    graph.incomplete = True
-                    continue
-                successors.append(step.target)
-        else:
-            graph.incomplete = True
-        if isinstance(current, App) and current.args:
-            for i in sorted(cs.mu.active_indices(current.sym)):
-                successors.append(current.args[i - 1])
-        graph.succ[current] = successors
-        for nxt in successors:
-            if nxt not in graph.nodes:
-                graph.nodes[nxt] = None
-                queue.append(nxt)
-    if idx < len(queue):
-        graph.incomplete = True
-    return graph
-
-
-def _find_original_cycle(graph: _CombinedGraph) -> Optional[list[Term]]:
-    """A cycle through an original term, as a term list [t, ..., t]."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[Term, int] = {}
-    for root in graph.nodes:
-        if color.get(root, WHITE) != WHITE:
-            continue
-        path: list[Term] = [root]
-        stack: list[tuple[Term, int]] = [(root, 0)]
-        color[root] = GRAY
-        while stack:
-            node, i = stack[-1]
-            succs = graph.succ.get(node, ())
-            if i < len(succs):
-                stack[-1] = (node, i + 1)
-                nxt = succs[i]
-                c = color.get(nxt, WHITE)
-                if c == GRAY:
-                    cycle = path[path.index(nxt):] + [nxt]
-                    if any(is_original(t) for t in cycle):
-                        # Rotate so the cycle starts at an original term.
-                        k = next(j for j, t in enumerate(cycle[:-1]) if is_original(t))
-                        return cycle[k:-1] + cycle[: k + 1]
-                    continue
-                if c == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    return None
+    search = bfs(seeds, successors, expansion_budget(cap), target=_itself)
+    return list(search.reached), succ, search.exhausted
 
 
 def _proper_subterms(t: Term) -> list[Term]:
@@ -440,9 +375,8 @@ def validate_witness_order(
     cond_engine = ConditionalEngine(system, fuel)
     notes: list[str] = []
 
-    graph = _build_combined_graph(seeds, cs, fuel, mu_engine)
-    incomplete = graph.incomplete
-    original_nodes = [t for t in graph.nodes if is_original(t)]
+    nodes, succ, incomplete = _combined_graph(seeds, cs, fuel, mu_engine)
+    original_nodes = [t for t in nodes if is_original(t)]
     if len(original_nodes) > max_sources:
         notes.append(
             f"sampling capped at {max_sources} of {len(original_nodes)} original terms"
@@ -451,17 +385,22 @@ def validate_witness_order(
 
     # Obligation 1: the sampled relation is acyclic (bounded stand-in for
     # well-foundedness).
-    cycle = _find_original_cycle(graph)
-    ob1 = ObligationResult(1, "well-founded on original terms", cycle is None, len(graph.nodes))
+    cycle = dfs(nodes, succ, lambda ts: any(map(is_original, ts)), target=_itself).cycle
+    ob1 = ObligationResult(1, "well-founded on original terms", cycle is None, len(nodes))
     if cycle is not None:
-        ob1.failures.append(" > ".join(term_to_str(t) for t in cycle))
+        # Rotate so the cycle starts at an original term.
+        k = next(j for j, t in enumerate(cycle) if is_original(t))
+        ob1.failures.append(" > ".join(term_to_str(t) for t in cycle[k:-1] + cycle[: k + 1]))
 
-    # Sampled pairs and per-source reachability (full BFS per source; the
-    # pair list is capped, the reachability sets are not).
-    reach: dict[Term, dict[Term, None]] = {}
+    # Sampled pairs and per-source reachability: a full BFS from the
+    # successors of each source, so only nonempty paths count.  The pair list
+    # is capped, the reachability sets are not.
+    reach: dict[Term, dict] = {}
     sampled_pairs: list[tuple[Term, Term]] = []
     for source in original_nodes:
-        reach[source] = graph.reachable_from(source)
+        reach[source] = bfs(
+            succ.get(source, ()), lambda t: succ.get(t, ()), lambda: True, target=_itself
+        ).reached
         if len(sampled_pairs) < max_pairs:
             for target in reach[source]:
                 if is_original(target):
@@ -539,9 +478,9 @@ def validate_witness_order(
                     ob4.checked += 1
                     waypoint = apply_subst(generated[i].rhs, sigma)
                     next_source = apply_subst(rule.conditions[i][0], sigma)
-                    reduction, exhausted = _mu_reach(mu_engine, source, waypoint, fuel)
-                    incomplete = incomplete or exhausted
-                    if reduction is None:
+                    search = _mu_search(mu_engine, source, waypoint, fuel)
+                    incomplete = incomplete or search.exhausted
+                    if search.path is None:
                         ob4.passed = False
                         ob4.failures.append(
                             f"{term_to_str(source)} cannot reach {term_to_str(waypoint)}"
@@ -562,7 +501,7 @@ def validate_witness_order(
                             "lhs_instance": source,
                             "waypoint": waypoint,
                             "condition_source_instance": next_source,
-                            "reduction_length": len(reduction),
+                            "reduction_length": len(search.path),
                         }
                     )
 

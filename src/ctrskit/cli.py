@@ -17,12 +17,13 @@ from .checker import (
     prove_quasi_decreasing,
     validate_witness_order,
 )
-from .csrewrite import MuEngine, enumerate_original_terms, explore, mu_steps, plain_steps
+from .csrewrite import MuEngine, enumerate_original_terms, explore, plain_steps
 from .ctrs import ConditionalEngine, Dctrs, Fuel, validate_dctrs
 from .experiment import ExperimentConfig, load_config, run_experiment
 from .fmt import (
     ParseError,
     ValidationError,
+    as_dctrs,
     parse_ctrs,
     parse_problem,
     parse_term,
@@ -148,8 +149,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    system = parse_ctrs(Path(args.file).read_text(), args.file)
     problem = _load_problem(args.file)
+    system = as_dctrs(problem)
     term = parse_term(args.start, problem)
     fuel = _fuel_from(args)
     engine = ConditionalEngine(system, fuel)

@@ -20,7 +20,10 @@ from .ctrs import (
     KIND_PLAIN,
     Reduction,
     ReductionStep,
-    _term_key,
+    bfs,
+    dfs,
+    expansion_budget,
+    within_size,
 )
 from .terms import (
     App,
@@ -33,7 +36,6 @@ from .terms import (
     positions,
     replace_at,
     subterm_at,
-    term_size,
     term_to_str,
 )
 from .unravel import Csrs, Rule, Trs
@@ -115,12 +117,6 @@ def _steps_at(
     return out
 
 
-def mu_steps(s: Term, system: Csrs) -> list[ReductionStep]:
-    """All single steps from ``s`` at active positions, in deterministic
-    (position, rule) order."""
-    return list(MuEngine(system).steps(s))
-
-
 def plain_steps(s: Term, system: Trs) -> list[ReductionStep]:
     """Unrestricted one-step rewriting; the reference point for the engine."""
     return _steps_at(s, system.rules, sorted(positions(s)), KIND_PLAIN)
@@ -136,15 +132,6 @@ class ReductionGraph:
     depth: dict[Term, int] = field(default_factory=dict)
     complete: bool = True
 
-    def successors(self, t: Term) -> list[ReductionStep]:
-        return [e for e in self.edges if e.source == t]
-
-    def adjacency(self) -> dict[Term, list[ReductionStep]]:
-        adj: dict[Term, list[ReductionStep]] = {t: [] for t in self.nodes}
-        for e in self.edges:
-            adj[e.source].append(e)
-        return adj
-
 
 def explore(
     s: Term,
@@ -152,91 +139,30 @@ def explore(
     fuel: Fuel = DEFAULT_FUEL,
     engine: Optional[MuEngine] = None,
 ) -> tuple[ReductionGraph, MuVerdict]:
-    """Breadth-first expansion of the active-position rewrite relation."""
+    """Breadth-first expansion of the active-position rewrite relation, then
+    one depth-first walk for a loop or, failing that, the longest path."""
     eng = engine if engine is not None else MuEngine(system)
-    graph = ReductionGraph(root=s, nodes=[s], depth={s: 0})
-    seen = {s}
-    queue = [s]
-    expansions = 0
-    idx = 0
-    while idx < len(queue):
-        current = queue[idx]
-        idx += 1
-        expansions += 1
-        if expansions > fuel.max_steps:
-            graph.complete = False
-            break
-        for step in eng.steps(current):
-            if term_size(step.target) > fuel.max_term_size:
-                graph.complete = False
-                continue
-            graph.edges.append(step)
-            if step.target not in seen:
-                seen.add(step.target)
-                graph.depth[step.target] = graph.depth[current] + 1
-                graph.nodes.append(step.target)
-                queue.append(step.target)
-    if idx < len(queue):
-        graph.complete = False
+    edges: list[ReductionStep] = []
+    out_edges: dict[Term, list[ReductionStep]] = {}
 
-    cycle = find_cycle_path(graph)
-    if cycle is not None:
-        return graph, MuVerdict.loop_found(cycle)
+    def successors(t: Term) -> list[Optional[ReductionStep]]:
+        out = within_size(eng.steps(t), fuel.max_term_size)
+        out_edges[t] = [step for step in out if step is not None]
+        edges.extend(out_edges[t])
+        return out
+
+    search = bfs([s], successors, expansion_budget(fuel.max_steps))
+    depth = {}
+    for t, step in search.reached.items():
+        depth[t] = 0 if step is None else depth[step.source] + 1
+    graph = ReductionGraph(s, list(search.reached), edges, depth, not search.exhausted)
+
+    walk = dfs([s], out_edges)
+    if walk.path is not None:
+        return graph, MuVerdict.loop_found(Reduction(s, tuple(walk.path)))
     if not graph.complete:
         return graph, MuVerdict.unknown(fuel)
-    return graph, MuVerdict.terminates_within(_longest_path(graph))
-
-
-def find_cycle_path(graph: ReductionGraph) -> Optional[Reduction]:
-    """A reduction from the root whose final term repeats an earlier one,
-    if the explored graph has a cycle."""
-    adj = graph.adjacency()
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {t: WHITE for t in graph.nodes}
-    path: list[ReductionStep] = []
-
-    # Iterative DFS keeping the current step path for witness extraction.
-    stack: list[tuple[Term, int]] = [(graph.root, 0)]
-    color[graph.root] = GRAY
-    while stack:
-        node, i = stack[-1]
-        out_edges = adj.get(node, ())
-        if i < len(out_edges):
-            stack[-1] = (node, i + 1)
-            step = out_edges[i]
-            succ = step.target
-            c = color.get(succ, BLACK)
-            if c == GRAY:
-                return Reduction(graph.root, tuple(path + [step]))
-            if c == WHITE:
-                color[succ] = GRAY
-                path.append(step)
-                stack.append((succ, 0))
-        else:
-            color[node] = BLACK
-            stack.pop()
-            if path:
-                path.pop()
-    return None
-
-
-def _longest_path(graph: ReductionGraph) -> int:
-    """Longest reduction length from the root of an acyclic graph."""
-    adj = graph.adjacency()
-    memo: dict[Term, int] = {}
-    stack = [graph.root]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        pending = [e.target for e in adj.get(node, ()) if e.target not in memo]
-        if pending:
-            stack.extend(pending)
-        else:
-            memo[node] = max((memo[e.target] + 1 for e in adj.get(node, ())), default=0)
-            stack.pop()
-    return memo[graph.root]
+    return graph, MuVerdict.terminates_within(walk.heights[s])
 
 
 def mu_terminating_on_seeds(

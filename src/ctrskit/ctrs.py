@@ -16,8 +16,10 @@ distinguishing "provably absent" from "not found within bounds".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from dataclasses import dataclass
+from itertools import count
+from operator import attrgetter
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .terms import (
     FunSym,
@@ -288,6 +290,134 @@ class Reach(NamedTuple):
     exhausted: bool
 
 
+# -- the shared search primitives ------------------------------------------
+
+
+def expansion_budget(limit: int) -> Callable[[], bool]:
+    """A ``charge`` that allows ``limit`` node expansions."""
+    spent = count(1)
+    return lambda: next(spent) <= limit
+
+
+def within_size(
+    steps: Iterable[ReductionStep], max_term_size: int
+) -> list[Optional[ReductionStep]]:
+    """``steps`` in order, with None in place of each step whose target
+    exceeds ``max_term_size``."""
+    return [step if term_size(step.target) <= max_term_size else None for step in steps]
+
+
+def _path_from(reached: dict[Term, Optional[ReductionStep]], last: ReductionStep) -> Reduction:
+    """The step path from a search start through ``last``."""
+    chain = [last]
+    while reached[chain[-1].source] is not None:
+        chain.append(reached[chain[-1].source])
+    chain.reverse()
+    return Reduction(chain[0].source, tuple(chain))
+
+
+class Search(NamedTuple):
+    # Every discovered node in BFS order, the starts first, mapped to the
+    # edge that discovered it (None for a start).
+    reached: dict
+    path: Optional[Reduction]  # a nonempty path to the goal, when one was found
+    exhausted: bool
+
+
+def bfs(
+    starts: Iterable[Any],
+    successors: Callable[[Any], Iterable[Any]],
+    charge: Callable[[], bool],
+    goal: Optional[Term] = None,
+    target: Callable[[Any], Any] = attrgetter("target"),
+) -> Search:
+    """The bounded breadth-first search behind every search in the toolkit.
+
+    ``successors(node)`` yields the node's out-edges in order, with None in
+    place of each edge the caller dropped or could not compute (term-size
+    filters belong to callers); a None makes the search exhausted from that
+    point on.  ``target`` maps an edge to its node.  ``charge()`` runs before
+    each expansion; once it returns False the search stops, exhausted.
+    ``goal`` is tested on every kept edge before the seen-check, so a goal
+    equal to a start needs a nonempty cycle back to it.
+    """
+    reached: dict = dict.fromkeys(starts)
+    queue = list(reached)
+    exhausted = False
+    for current in queue:  # grows while it is walked
+        if not charge():
+            return Search(reached, None, True)
+        for edge in successors(current):
+            if edge is None:
+                exhausted = True
+                continue
+            nxt = target(edge)
+            if goal is not None and nxt == goal:
+                return Search(reached, _path_from(reached, edge), exhausted)
+            if nxt not in reached:
+                reached[nxt] = edge
+                queue.append(nxt)
+    return Search(reached, None, exhausted)
+
+
+_ON_PATH = -1
+
+
+class Walk(NamedTuple):
+    path: Optional[list]  # edges from a root through the accepted back edge
+    cycle: Optional[list]  # that cycle's nodes [t, ..., t]
+    heights: Optional[dict]  # without any cycle: node -> longest path length
+
+
+def dfs(
+    roots: Iterable[Any],
+    out_edges: dict[Any, Sequence[Any]],
+    accept: Optional[Callable[[list], bool]] = None,
+    target: Callable[[Any], Any] = attrgetter("target"),
+) -> Walk:
+    """Iterative depth-first search from each unvisited root in turn, the one
+    cycle finder of the toolkit.
+
+    Returns the first back edge whose cycle ``accept`` takes (any cycle when
+    ``accept`` is None).  Otherwise, if the visited graph has no cycle at
+    all, the height of every visited node.
+    """
+    state: dict = {}  # node -> _ON_PATH while on the current path, then its height
+    acyclic = True
+    for root in roots:
+        if root in state:
+            continue
+        state[root] = _ON_PATH
+        nodes, path, best = [root], [], [0]  # the current path; best heights so far
+        stack = [iter(out_edges.get(root, ()))]
+        while stack:
+            for edge in stack[-1]:
+                nxt = target(edge)
+                mark = state.get(nxt)
+                if mark is None:
+                    state[nxt] = _ON_PATH
+                    nodes.append(nxt)
+                    path.append(edge)
+                    best.append(0)
+                    stack.append(iter(out_edges.get(nxt, ())))
+                    break
+                if mark == _ON_PATH:
+                    cycle = nodes[nodes.index(nxt):] + [nxt]
+                    if accept is None or accept(cycle):
+                        return Walk(path + [edge], cycle, None)
+                    acyclic = False
+                elif mark >= best[-1]:
+                    best[-1] = mark + 1
+            else:
+                stack.pop()
+                height = best.pop()
+                state[nodes.pop()] = height
+                if path:
+                    path.pop()
+                    best[-1] = max(best[-1], height + 1)
+    return Walk(None, None, state if acyclic else None)
+
+
 def _subst_key(sigma: Subst) -> tuple:
     return tuple(sorted(sigma.items(), key=lambda kv: kv[0]))
 
@@ -413,29 +543,18 @@ class ConditionalEngine:
         if cached is not None:
             return cached
 
-        seen: dict[Term, None] = {t: None}
-        queue: list[Term] = [t]
-        exhausted = False
-        idx = 0
-        while idx < len(queue):
-            current = queue[idx]
-            idx += 1
-            if not self._charge():
-                exhausted = True
-                break
-            steps, step_exhausted = self._successors(current, budget)
-            exhausted = exhausted or step_exhausted
-            for step in steps:
-                if term_size(step.target) > self.fuel.max_term_size:
-                    exhausted = True
-                    continue
-                if step.target not in seen:
-                    seen[step.target] = None
-                    queue.append(step.target)
-        result = (tuple(seen), exhausted)
+        search = bfs([t], lambda s: self._search_edges(s, budget), self._charge)
+        result = (tuple(search.reached), search.exhausted)
         if self._work <= self.fuel.max_steps:
             self._reduct_cache[key] = result
         return result
+
+    def _search_edges(self, s: Term, budget: int) -> list[Optional[ReductionStep]]:
+        """Out-edges of ``s`` for :func:`bfs`: a leading None when a condition
+        search was cut short, then the steps within the term-size bound."""
+        steps, exhausted = self._successors(s, budget)
+        cut: list[Optional[ReductionStep]] = [None] if exhausted else []
+        return cut + within_size(steps, self.fuel.max_term_size)
 
     def _successors(self, s: Term, budget: int) -> tuple[tuple[ReductionStep, ...], bool]:
         """All one-step reducts of ``s`` at levels <= budget, deduplicated by
@@ -511,42 +630,13 @@ class ConditionalEngine:
         self._reset_budget()
         if start == goal:
             return Reach(Reduction(start), False)
-        parent: dict[Term, ReductionStep] = {}
-        seen = {start}
-        queue: list[Term] = [start]
-        exhausted = False
-        idx = 0
-        while idx < len(queue):
-            current = queue[idx]
-            idx += 1
-            if not self._charge():
-                exhausted = True
-                break
-            steps, step_exhausted = self._successors(current, self.fuel.max_level)
-            exhausted = exhausted or step_exhausted
-            for step in steps:
-                if term_size(step.target) > self.fuel.max_term_size:
-                    exhausted = True
-                    continue
-                if step.target in seen:
-                    continue
-                seen.add(step.target)
-                parent[step.target] = step
-                if step.target == goal:
-                    return Reach(_path_from(parent, start, goal), exhausted)
-                queue.append(step.target)
-        return Reach(None, exhausted)
-
-
-def _path_from(parent: dict[Term, ReductionStep], start: Term, goal: Term) -> Reduction:
-    chain: list[ReductionStep] = []
-    here = goal
-    while here != start:
-        step = parent[here]
-        chain.append(step)
-        here = step.source
-    chain.reverse()
-    return Reduction(start, tuple(chain))
+        search = bfs(
+            [start],
+            lambda s: self._search_edges(s, self.fuel.max_level),
+            self._charge,
+            goal,
+        )
+        return Reach(search.path, search.exhausted)
 
 
 def _term_key(t: Term) -> tuple:
@@ -555,16 +645,3 @@ def _term_key(t: Term) -> tuple:
         return (0, t.name)
     return (1, t.sym.name, t.sym.arity) + tuple(_term_key(a) for a in t.args)
 
-
-def conditional_step_at(
-    s: Term, system: Dctrs, p: Position, rule: ConditionalRule, fuel: Fuel = DEFAULT_FUEL
-) -> StepAt:
-    return ConditionalEngine(system, fuel).step_at(s, p, rule)
-
-
-def all_conditional_steps(s: Term, system: Dctrs, fuel: Fuel = DEFAULT_FUEL) -> StepSearch:
-    return ConditionalEngine(system, fuel).all_steps(s)
-
-
-def reachable(s: Term, t: Term, system: Dctrs, fuel: Fuel = DEFAULT_FUEL) -> Reach:
-    return ConditionalEngine(system, fuel).reachable(s, t)

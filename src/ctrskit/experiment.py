@@ -1,10 +1,13 @@
 """Batch runner: validate, unravel, and prove every system in a directory.
 
-Each system gets two built-in methods: the path-order route on the unraveled
-system (can only answer YES) and the bounded loop search on the
+Each system goes through :func:`~ctrskit.checker.prove_quasi_decreasing`,
+which always runs both built-in methods: the path-order route on the
+unraveled system (can only answer YES) and the bounded loop search on the
 context-sensitive unraveling from enumerated original seeds (can only answer
-NO).  The per-system verdict combines them; a disagreement (both answering)
-would be a soundness bug and aborts the row with an alarm status.
+NO).  Each row shows the prover's verdict and per-method answers.  A
+disagreement (both answering) or a certificate that fails re-validation
+would be a soundness bug; the prover raises :class:`~ctrskit.checker.ProofAlarm`
+and the row gets an alarm status instead of a verdict.
 
 External provers can be hooked in through command templates; they receive an
 exported file and must print YES, NO, or MAYBE on the first line.  No
@@ -24,13 +27,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .checker import prove_quasi_decreasing
-from .csrewrite import enumerate_original_terms, mu_terminating_on_seeds
+from .checker import ProofAlarm, prove_quasi_decreasing
 from .ctrs import DEFAULT_FUEL, Fuel
 from .fmt import ParseError, ValidationError, parse_ctrs, print_csrs, print_ctrs, print_trs
-from .lpo import SignatureTooLargeError, orients, search_precedence
 from .report import FORMAT_VERSION, certificate_dict, fuel_dict
-from .checker import LoopCert, PrecedenceCert
 from .unravel import unravel, unravel_cs
 
 CONFIG_ENV_VAR = "CTRSKIT_CONFIG"
@@ -186,47 +186,29 @@ def _process_file(path: Path, config: ExperimentConfig) -> SystemRow:
 
     row.rule_count = len(system.rules)
     row.conditional_count = len(system.conditional_rules)
-    unraveled = unravel(system)
-    row.unraveled_count = len(unraveled.rules)
-
-    lpo_verdict = "MAYBE"
-    precedence = None
+    row.unraveled_count = len(unravel(system).rules)
     try:
-        precedence = search_precedence(unraveled, config.precedence_cap)
-    except SignatureTooLargeError as err:
-        row.methods["lpo-note"] = str(err)
-    if precedence is not None and orients(unraveled, precedence):
-        lpo_verdict = "YES"
-    row.methods["unravel+lpo"] = lpo_verdict
-
-    seeds = enumerate_original_terms(system.signature, config.seed_size)
-    cs = unravel_cs(system)
-    loop_result = mu_terminating_on_seeds(seeds, cs, config.fuel)
-    loop_verdict = "NO" if loop_result.is_loop else "MAYBE"
-    row.methods["loop-search"] = loop_verdict
-
-    if lpo_verdict == "YES" and loop_verdict == "NO":
+        outcome = prove_quasi_decreasing(
+            system, config.fuel, seed_size=config.seed_size, precedence_cap=config.precedence_cap
+        )
+    except ProofAlarm as alarm:
         row.status = "alarm"
-        row.error = "methods disagree: orientation found together with a loop"
+        row.error = str(alarm)
+        row.methods = alarm.methods
         row.wall_time = time.monotonic() - started
         return row
-
-    if lpo_verdict == "YES":
-        row.verdict = "YES"
-        row.certificate = certificate_dict(PrecedenceCert(precedence))
-    elif loop_verdict == "NO":
-        row.verdict = "NO"
-        row.certificate = certificate_dict(LoopCert(loop_result.witness))
-    else:
-        row.verdict = "MAYBE"
+    row.methods = outcome.methods
+    row.verdict = outcome.verdict
+    if outcome.verdict != "MAYBE":
+        row.certificate = certificate_dict(outcome.certificate)
 
     for tool in config.external_tools:
         if tool.transform == "ctrs":
             exported = print_ctrs(system)
         elif tool.transform == "u":
-            exported = print_trs(unraveled)
+            exported = print_trs(unravel(system))
         else:
-            exported = print_csrs(cs)
+            exported = print_csrs(unravel_cs(system))
         row.external[tool.name] = _run_external(tool, exported)
 
     row.wall_time = time.monotonic() - started

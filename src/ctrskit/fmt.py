@@ -419,7 +419,12 @@ def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
 def parse_ctrs(text: str, path: str = "<string>") -> Dctrs:
     """Parse and validate a conditional system; unconditional files are
     accepted as the degenerate case."""
-    problem = parse_problem(text, path)
+    return as_dctrs(parse_problem(text, path))
+
+
+def as_dctrs(problem: ProblemFile) -> Dctrs:
+    """The conditional system of a parsed file, validating an unconditional
+    one as the degenerate case; a file with a STRATEGY section is rejected."""
     if isinstance(problem.system, Dctrs):
         return problem.system
     if isinstance(problem.system, Csrs):

@@ -70,6 +70,16 @@ def test_simulation_alarm_on_bogus_step(bubble):
         check_simulation(bogus, unravel_cs(bubble))
 
 
+def test_simulation_ignores_oversized_steps_after_the_goal():
+    text = "(VAR x)\n(RULES\n  a -> b\n  a -> f(f(f(f(b))))\n)\n"
+    cs = unravel_cs(ck.parse_ctrs(text))
+    first, second = MuEngine(cs).steps(ck.parse_term("a", ck.parse_problem(text)))
+    result = check_simulation(first, cs, Fuel(4, 200, 3))
+    assert result.found and not result.exhausted
+    result = check_simulation(second, cs, Fuel(4, 200, 3))
+    assert not result.found and result.exhausted  # its target is over the bound
+
+
 def test_commutation_examples(bubble):
     cs = unravel_cs(bubble)
     s_ctx = term_of("bubble_sort", "s(<(0,s(0)))")

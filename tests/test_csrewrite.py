@@ -8,7 +8,6 @@ from ctrskit.csrewrite import (
     MuVerdict,
     enumerate_original_terms,
     explore,
-    mu_steps,
     mu_terminating_on_seeds,
     plain_steps,
 )
@@ -38,7 +37,7 @@ def u_term(bubble, *arg_texts):
 def test_mu_steps_respect_replacement_map(bubble):
     cs = bubble_cs(bubble)
     t = u_term(bubble, "<(0,s(0))", "0", "s(0)", "nil")
-    steps = mu_steps(t, cs)
+    steps = MuEngine(cs).steps(t)
     assert len(steps) == 1
     assert steps[0].position == (1,)
     assert steps[0].target == u_term(bubble, "true", "0", "s(0)", "nil")
@@ -46,16 +45,16 @@ def test_mu_steps_respect_replacement_map(bubble):
     # Redexes below inactive argument positions are never contracted: here
     # argument 2 holds a redex but only the argument-1 copy is rewritten.
     blocked = u_term(bubble, "<(0,s(0))", "<(0,s(0))", "s(0)", "nil")
-    assert [s.position for s in mu_steps(blocked, cs)] == [(1,)]
+    assert [s.position for s in MuEngine(cs).steps(blocked)] == [(1,)]
 
 
 def test_mu_steps_normal_form(bubble):
-    assert mu_steps(term_of("bubble_sort", "true"), bubble_cs(bubble)) == []
+    assert MuEngine(bubble_cs(bubble)).steps(term_of("bubble_sort", "true")) == ()
 
 
 def test_mu_steps_root_unraveled_lhs(bubble):
     cs = bubble_cs(bubble)
-    steps = mu_steps(term_of("bubble_sort", ":(0,:(s(0),nil))"), cs)
+    steps = MuEngine(cs).steps(term_of("bubble_sort", ":(0,:(s(0),nil))"))
     assert len(steps) == 1
     assert steps[0].position == ()
     assert steps[0].target == u_term(bubble, "<(0,s(0))", "0", "s(0)", "nil")
@@ -165,7 +164,7 @@ def test_mu_steps_subset_of_plain_steps(bubble):
         term_of("bubble_sort", "s(<(0,s(0)))"),
     ]
     for t in samples:
-        mu_set = {(s.target, s.position, s.rule_id) for s in mu_steps(t, cs)}
+        mu_set = {(s.target, s.position, s.rule_id) for s in MuEngine(cs).steps(t)}
         plain_set = {(s.target, s.position, s.rule_id) for s in plain_steps(t, trs)}
         assert mu_set <= plain_set
 
@@ -174,7 +173,7 @@ def test_full_mu_coincides_with_plain(bubble):
     trs = unravel(bubble)
     full = Csrs(trs.signature, trs.rules, ReplacementMap.full(trs.signature))
     for t in enumerate_original_terms(bubble.signature, 4):
-        mu_set = {(s.target, s.position, s.rule_id) for s in mu_steps(t, full)}
+        mu_set = {(s.target, s.position, s.rule_id) for s in MuEngine(full).steps(t)}
         plain_set = {(s.target, s.position, s.rule_id) for s in plain_steps(t, trs)}
         assert mu_set == plain_set
 

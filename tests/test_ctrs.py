@@ -7,9 +7,6 @@ from ctrskit.ctrs import (
     ConditionalEngine,
     ConditionalRule,
     Fuel,
-    all_conditional_steps,
-    conditional_step_at,
-    reachable,
     validate_dctrs,
 )
 from ctrskit.terms import App, FunSym, Var
@@ -68,7 +65,7 @@ def test_validate_duplicate_ids():
 def test_conditional_step_at_swap(bubble):
     t = term_of("bubble_sort", ":(0,:(s(0),nil))")
     swap = bubble.rule("r4")
-    step, exhausted = conditional_step_at(t, bubble, (), swap)
+    step, exhausted = ConditionalEngine(bubble).step_at(t, (), swap)
     assert step is not None
     assert not exhausted
     assert step.level == 2
@@ -79,7 +76,7 @@ def test_conditional_step_at_swap(bubble):
 def test_conditional_step_blocked_by_condition(bubble):
     t = term_of("bubble_sort", ":(s(0),:(0,nil))")
     swap = bubble.rule("r4")
-    step, exhausted = conditional_step_at(t, bubble, (), swap)
+    step, exhausted = ConditionalEngine(bubble).step_at(t, (), swap)
     assert step is None
     assert not exhausted  # the condition's reduct set saturates at false
 
@@ -87,13 +84,13 @@ def test_conditional_step_blocked_by_condition(bubble):
 def test_steps_always_have_positive_level(bubble):
     # Level 0 admits no steps; every witnessed step carries level >= 1.
     for text in ["<(0,s(0))", ":(0,:(s(0),nil))", "s(<(0,s(0)))"]:
-        steps, _ = all_conditional_steps(term_of("bubble_sort", text), bubble)
+        steps, _ = ConditionalEngine(bubble).all_steps(term_of("bubble_sort", text))
         assert steps
         assert all(st.level >= 1 for st in steps)
 
 
 def test_all_steps_single_redex(bubble):
-    steps, exhausted = all_conditional_steps(term_of("bubble_sort", "<(0,s(0))"), bubble)
+    steps, exhausted = ConditionalEngine(bubble).all_steps(term_of("bubble_sort", "<(0,s(0))"))
     assert not exhausted
     assert len(steps) == 1
     assert steps[0].target == term_of("bubble_sort", "true")
@@ -101,13 +98,14 @@ def test_all_steps_single_redex(bubble):
 
 
 def test_all_steps_normal_form(bubble):
-    steps, exhausted = all_conditional_steps(term_of("bubble_sort", "true"), bubble)
+    steps, exhausted = ConditionalEngine(bubble).all_steps(term_of("bubble_sort", "true"))
     assert steps == ()
     assert not exhausted
 
 
 def test_all_steps_root_swap_only(bubble):
-    steps, exhausted = all_conditional_steps(term_of("bubble_sort", ":(0,:(s(0),nil))"), bubble)
+    t = term_of("bubble_sort", ":(0,:(s(0),nil))")
+    steps, exhausted = ConditionalEngine(bubble).all_steps(t)
     assert not exhausted
     assert len(steps) == 1
     assert steps[0].position == ()
@@ -118,22 +116,41 @@ def test_reachable(bubble):
     lt01 = term_of("bubble_sort", "<(0,s(0))")
     true = term_of("bubble_sort", "true")
     false = term_of("bubble_sort", "false")
-    found, exhausted = reachable(lt01, true, bubble)
+    found, exhausted = ConditionalEngine(bubble).reachable(lt01, true)
     assert found is not None and len(found) == 1
-    red, _ = reachable(true, true, bubble)
+    red, _ = ConditionalEngine(bubble).reachable(true, true)
     assert red is not None and len(red) == 0
-    missing, exhausted = reachable(true, false, bubble)
+    missing, exhausted = ConditionalEngine(bubble).reachable(true, false)
     assert missing is None
     assert not exhausted  # both are normal forms: provably unreachable
+
+
+GOAL_BEFORE_OVERSIZED = """(VAR x)
+(RULES
+  a -> b
+  a -> f(f(f(f(b))))
+)
+"""
+
+
+def test_reachable_ignores_oversized_steps_after_the_goal():
+    # The goal step comes first, so the step cut by the size bound after it
+    # played no part in the search: the answer is not bound-limited.
+    system = ck.parse_ctrs(GOAL_BEFORE_OVERSIZED)
+    problem = ck.parse_problem(GOAL_BEFORE_OVERSIZED)
+    a, b = ck.parse_term("a", problem), ck.parse_term("b", problem)
+    found, exhausted = ConditionalEngine(system, Fuel(4, 200, 3)).reachable(a, b)
+    assert found is not None and len(found) == 1
+    assert not exhausted
 
 
 def test_level_monotonicity(bubble):
     t = term_of("bubble_sort", ":(0,:(s(0),nil))")
     swap = bubble.rule("r4")
     for max_level in (2, 3, 5, 8):
-        step, _ = conditional_step_at(t, bubble, (), swap, Fuel(max_level=max_level))
+        step, _ = ConditionalEngine(bubble, Fuel(max_level=max_level)).step_at(t, (), swap)
         assert step is not None and step.level == 2
-    step, _ = conditional_step_at(t, bubble, (), swap, Fuel(max_level=1))
+    step, _ = ConditionalEngine(bubble, Fuel(max_level=1)).step_at(t, (), swap)
     assert step is None  # needs level 2
 
 
@@ -148,8 +165,8 @@ def test_fuel_monotonicity(bubble):
     small = Fuel(max_level=3, max_steps=60, max_term_size=40)
     big = Fuel(max_level=8, max_steps=500, max_term_size=200)
     for t, system in zip(terms, systems):
-        small_steps, _ = all_conditional_steps(t, system, small)
-        big_steps, _ = all_conditional_steps(t, system, big)
+        small_steps, _ = ConditionalEngine(system, small).all_steps(t)
+        big_steps, _ = ConditionalEngine(system, big).all_steps(t)
         keys = lambda steps: {(s.target, s.position, s.rule_id) for s in steps}
         assert keys(small_steps) <= keys(big_steps)
 
@@ -162,7 +179,7 @@ def test_unconditional_rules_agree_with_plain_rewriting():
     trs = unravel(less)  # unconditional: identical rules
     for text in ["<(s(0),s(s(0)))", "<(0,0)", "s(<(0,s(0)))"]:
         t = term_of("less", text)
-        cond, exhausted = all_conditional_steps(t, less)
+        cond, exhausted = ConditionalEngine(less).all_steps(t)
         assert not exhausted
         plain = plain_steps(t, trs)
         assert {(s.target, s.position) for s in cond} == {
@@ -184,7 +201,7 @@ def test_levels_of_parity_chain():
     # even(s^k(0)) needs k nested condition discharges: level k+1.
     for k, expected_level in [(0, 1), (1, 2), (2, 3), (3, 4)]:
         text = "even(" + "s(" * k + "0" + ")" * k + ")"
-        steps, _ = all_conditional_steps(term_of("parity_cond", text), parity)
+        steps, _ = ConditionalEngine(parity).all_steps(term_of("parity_cond", text))
         root = [s for s in steps if s.position == ()]
         assert len(root) == 1
         assert root[0].level == expected_level
@@ -193,6 +210,6 @@ def test_levels_of_parity_chain():
 def test_reduction_chaining_validated(bubble):
     t = term_of("bubble_sort", "<(0,s(0))")
     true = term_of("bubble_sort", "true")
-    red, _ = reachable(t, true, bubble)
+    red, _ = ConditionalEngine(bubble).reachable(t, true)
     with pytest.raises(ValueError):
         ck.Reduction(true, red.steps)  # steps do not start at `true`

@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, load_system
 
 import ctrskit as ck
+import ctrskit.checker as checker
 from ctrskit.ctrs import Fuel
 from ctrskit.experiment import (
     CONFIG_ENV_VAR,
@@ -135,3 +136,35 @@ def test_report_json_shape():
     assert doc["format_version"] == 1
     assert set(doc["summary"]["by_method"]) == {"unravel+lpo", "loop-search"}
     assert "AProVE" in doc["note"]
+
+
+def test_alarm_when_both_methods_answer(monkeypatch, tmp_path):
+    # A fake loop on `less`, which a precedence orients: both methods answer.
+    self_loop = load_system("self_loop")
+    fake_loop = ck.mu_terminating_on_seeds(
+        ck.enumerate_original_terms(self_loop.signature, 1), ck.unravel_cs(self_loop)
+    )
+    assert fake_loop.is_loop
+    real = checker.mu_terminating_on_seeds
+
+    def loops_on_less(seeds, cs, fuel=ck.DEFAULT_FUEL, engine=None):
+        if any(s.name == "<" for s in cs.signature):
+            return fake_loop
+        return real(seeds, cs, fuel, engine)
+
+    monkeypatch.setattr(checker, "mu_terminating_on_seeds", loops_on_less)
+    with pytest.raises(ck.ProofAlarm) as raised:
+        ck.prove_quasi_decreasing(load_system("less"))
+    assert raised.value.methods == {"unravel+lpo": "YES", "loop-search": "NO"}
+
+    for name in ("append", "less", "self_loop"):
+        (tmp_path / f"{name}.ctrs").write_text((CORPUS / f"{name}.ctrs").read_text())
+    report = run_experiment(str(tmp_path), small_config())
+    rows = {r.system: r for r in report.rows}
+    assert rows["less"].status == "alarm"
+    assert rows["less"].verdict is None and rows["less"].certificate is None
+    assert rows["less"].error == "methods disagree: orientation found together with a loop"
+    assert rows["less"].methods == {"unravel+lpo": "YES", "loop-search": "NO"}
+    assert (rows["append"].status, rows["append"].verdict) == ("ok", "YES")
+    assert (rows["self_loop"].status, rows["self_loop"].verdict) == ("ok", "NO")
+    assert report.summary["error"] == 1
