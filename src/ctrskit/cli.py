@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (or a YES verdict), 1 for NO (or a failed check),
 2 for MAYBE (or a check that passed only within bounds), 3 for input or
-usage errors.
+usage errors, 4 for an internal error (a proof alarm or an unexpected
+exception), so that a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .checker import (
+    ProofAlarm,
     SimulationAlarm,
     check_simulation,
     prove_quasi_decreasing,
@@ -45,6 +47,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_MAYBE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _add_fuel_flags(parser: argparse.ArgumentParser) -> None:
@@ -180,9 +183,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_prove(args: argparse.Namespace) -> int:
     system = parse_ctrs(Path(args.file).read_text(), args.file)
     fuel = _fuel_from(args)
-    outcome = prove_quasi_decreasing(
-        system, fuel, seed_size=args.seeds_size, precedence_cap=args.precedence_cap
-    )
+    try:
+        outcome = prove_quasi_decreasing(
+            system, fuel, seed_size=args.seeds_size, precedence_cap=args.precedence_cap
+        )
+    except ProofAlarm as alarm:
+        print(f"ALARM: {alarm} (methods: {alarm.methods})", file=sys.stderr)
+        return EXIT_INTERNAL
     print(f"verdict: {outcome.verdict}")
     print(f"provenance: {outcome.provenance}")
     for line in outcome.diagnostics:
@@ -309,6 +316,9 @@ def cli_main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -4,19 +4,22 @@ The order compares terms through a strict total precedence on function
 symbols, with left-to-right lexicographic status everywhere.  Orienting every
 rule of a system proves its termination.
 
-The search enumerates precedences as permutations of the signature (sorted by
-name then arity, permutations in lexicographic order) and prunes prefixes
-under which some rule is already unorientable for every completion.  Pruning
-uses a three-valued variant of the order: with only a prefix of the
-precedence fixed, a comparison is true, false, or undecided, and the order's
-defining formula is positive in the precedence, so undecided never flips a
-definite answer.
+The search runs over strict partial orders on the signature, after Codish,
+Lagoon and Stuckey, "Solving Partial Order Constraints for LPO Termination"
+(RTA 2006).  Under a partial order a comparison is true, false, or undecided;
+the order's defining formula is positive in the precedence, so a true or
+false verdict holds for every total extension.  An undecided comparison names
+an atom ``f > g`` it needs, and the search branches on that atom only: first
+``f > g``, then ``g > f``, each transitively closed.  Every total precedence
+extends one of the two branches, so a failed search is as exhaustive as
+trying every permutation, while it never branches on symbols no comparison
+reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Union
 
 from .terms import App, FunSym, Term, Var, vars_of
 from .unravel import Trs
@@ -39,15 +42,6 @@ class Precedence:
     def __post_init__(self) -> None:
         if len(set(self.order)) != len(self.order):
             raise ValueError("precedence lists a symbol twice")
-
-    def rank(self, sym: FunSym) -> int:
-        try:
-            return self.order.index(sym)
-        except ValueError:
-            raise UnknownSymbolError(f"{sym.name}/{sym.arity} not in precedence") from None
-
-    def greater(self, f: FunSym, g: FunSym) -> bool:
-        return self.rank(f) < self.rank(g)
 
     def __str__(self) -> str:
         return " > ".join(s.name for s in self.order)
@@ -85,65 +79,120 @@ def lpo_greater(s: Term, t: Term, prec: Precedence) -> bool:
     return gt(s, t)
 
 
-# Three-valued evaluation for pruning: True / False / None (undecided).
+# Three-valued evaluation under a partial precedence.  ``above`` is a
+# transitively closed set of pairs (f, g), read f > g.  A verdict is True or
+# False when every total extension of ``above`` agrees, and otherwise the
+# first undecided atom (f, g) the evaluation met.
 
-def _and3(a, b):
-    if a is False or b is False:
-        return False
-    if a is True and b is True:
-        return True
-    return None
-
-
-def _or3(a, b):
-    if a is True or b is True:
-        return True
-    if a is False and b is False:
-        return False
-    return None
+Atom = tuple[FunSym, FunSym]
+Verdict = Union[bool, Atom]
+VarSets = dict[Term, frozenset[str]]
 
 
-def _lpo3(s: Term, t: Term, ranks: dict[FunSym, int]) -> Optional[bool]:
-    """Order verdict under a partial precedence: symbols present in ``ranks``
-    are mutually ordered, the rest are undecided."""
+def _lpo3(s: Term, t: Term, above: frozenset[Atom], varsets: VarSets) -> Verdict:
+    """``s >lpo t`` under the partial precedence ``above``; ``varsets`` maps
+    every subterm of a left-hand side to its variable names."""
     if isinstance(s, Var):
         return False
     if isinstance(t, Var):
-        return t.name in vars_of(s)
+        return t.name in varsets[s]
 
-    result: Optional[bool] = False
+    need: Optional[Atom] = None
     for si in s.args:
-        result = _or3(result, True if si == t else _lpo3(si, t, ranks))
-        if result is True:
+        if si == t:
             return True
-
-    dominates: Optional[bool] = True
-    for tj in t.args:
-        dominates = _and3(dominates, _lpo3(s, tj, ranks))
-        if dominates is False:
-            break
+        verdict = _lpo3(si, t, above, varsets)
+        if verdict is True:
+            return True
+        if verdict is not False and need is None:
+            need = verdict
 
     if s.sym == t.sym:
-        lex: Optional[bool] = False
+        head: Verdict = False
         for sk, tk in zip(s.args, t.args):
-            if sk == tk:
-                continue
-            lex = _lpo3(sk, tk, ranks)
-            break
-        result = _or3(result, _and3(lex, dominates))
+            if sk != tk:
+                head = _lpo3(sk, tk, above, varsets)
+                break
+    elif (s.sym, t.sym) in above:
+        head = True
+    elif (t.sym, s.sym) in above:
+        head = False
     else:
-        rs, rt = ranks.get(s.sym), ranks.get(t.sym)
-        if rs is not None and rt is not None:
-            root_greater: Optional[bool] = rs < rt
-        else:
-            root_greater = None
-        result = _or3(result, _and3(root_greater, dominates))
-    return result
+        head = (s.sym, t.sym)
+
+    if head is not False:
+        # s must also dominate every argument of t.
+        dominates: Verdict = True
+        for tj in t.args:
+            verdict = _lpo3(s, tj, above, varsets)
+            if verdict is False:
+                dominates = False
+                break
+            if dominates is True:
+                dominates = verdict
+        if dominates is not False:
+            both = dominates if head is True else head
+            if both is True:
+                return True
+            if need is None:
+                need = both
+    return False if need is None else need
+
+
+def _with(above: frozenset[Atom], f: FunSym, g: FunSym) -> frozenset[Atom]:
+    """The transitive closure of ``above`` plus f > g.
+
+    Callers pass an undecided atom, neither (f, g) nor (g, f) in ``above``,
+    so the result has no cycle and stays a strict partial order.
+    """
+    uppers = {f} | {a for a, b in above if b == f}
+    lowers = {g} | {b for a, b in above if a == g}
+    return above | {(a, b) for a in uppers for b in lowers}
+
+
+def _orientable(
+    pending: list[tuple[Term, Term]], above: frozenset[Atom], varsets: VarSets
+) -> bool:
+    """Whether some total extension of ``above`` orients every pending pair.
+
+    Pairs decided True stay True in every extension, so only the undecided
+    ones are passed down.  Branching on the first needed atom of the first
+    undecided pair, in both directions, covers every total extension.
+    """
+    undecided = []
+    need: Optional[Atom] = None
+    for lhs, rhs in pending:
+        verdict = _lpo3(lhs, rhs, above, varsets)
+        if verdict is False:
+            return False
+        if verdict is not True:
+            undecided.append((lhs, rhs))
+            need = need or verdict
+    if need is None:
+        return True
+    f, g = need
+    return any(
+        _orientable(undecided, _with(above, a, b), varsets) for a, b in ((f, g), (g, f))
+    )
+
+
+def _subterms(t: Term):
+    yield t
+    if isinstance(t, App):
+        for arg in t.args:
+            yield from _subterms(arg)
 
 
 def search_precedence(system: Trs, max_signature: int = 10) -> Optional[Precedence]:
-    """First precedence (in the deterministic enumeration order) orienting
-    every rule left-to-right, or None when the exhaustive search fails."""
+    """The lexicographically first precedence orienting every rule
+    left-to-right, or None when no precedence does.
+
+    Precedences are compared as permutations of the signature sorted by name
+    then arity.  The answer is built greedily: each position takes the
+    smallest remaining symbol that can sit above all the others while the
+    rules stay orientable, with the partial-order search as the oracle.  A
+    failing search is a single oracle call.
+    """
     symbols = sorted(system.signature, key=lambda s: (s.name, s.arity))
     if len(symbols) > max_signature:
         raise SignatureTooLargeError(
@@ -151,32 +200,22 @@ def search_precedence(system: Trs, max_signature: int = 10) -> Optional[Preceden
             "delegate to an external prover"
         )
     pairs = [(r.lhs, r.rhs) for r in system.rules]
-
-    def extend(
-        prefix: list[FunSym], remaining: list[FunSym], pending: list[tuple[Term, Term]]
-    ) -> Optional[Precedence]:
-        ranks = {sym: i for i, sym in enumerate(prefix)}
-        # True verdicts are stable under extending the precedence, so only
-        # rules still undecided at the parent prefix need re-evaluation.
-        undecided = []
-        for lhs, rhs in pending:
-            verdict = _lpo3(lhs, rhs, ranks)
-            if verdict is False:
-                return None
-            if verdict is not True:
-                undecided.append((lhs, rhs))
-        if not undecided:
-            # Any completion works; the sorted one is lexicographically first.
-            return Precedence(tuple(prefix + remaining))
-        if not remaining:
-            return None
-        for i, sym in enumerate(remaining):
-            found = extend(prefix + [sym], remaining[:i] + remaining[i + 1 :], undecided)
-            if found is not None:
-                return found
+    varsets = {u: frozenset(vars_of(u)) for lhs, _ in pairs for u in _subterms(lhs)}
+    above: frozenset[Atom] = frozenset()
+    if not _orientable(pairs, above, varsets):
         return None
-
-    return extend([], symbols, pairs)
+    order: list[FunSym] = []
+    while symbols:
+        for c in symbols:
+            # Placing c next puts it above every other remaining symbol; the
+            # last candidate always fits, as the current order is orientable.
+            placed = above | {(c, d) for d in symbols if d != c}
+            if c is symbols[-1] or _orientable(pairs, placed, varsets):
+                break
+        above = placed
+        order.append(c)
+        symbols.remove(c)
+    return Precedence(tuple(order))
 
 
 def orients(system: Trs, prec: Precedence) -> bool:

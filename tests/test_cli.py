@@ -6,7 +6,8 @@ import pytest
 from conftest import CORPUS
 
 import ctrskit as ck
-from ctrskit.cli import cli_main
+from ctrskit import checker
+from ctrskit.cli import EXIT_INTERNAL, cli_main
 
 
 def corpus(name: str) -> str:
@@ -162,3 +163,31 @@ def test_experiment_empty_dir(tmp_path, capsys):
     code = cli_main(["experiment", str(tmp_path)])
     assert code == 0
     assert "YES=0 NO=0 MAYBE=0" in capsys.readouterr().out
+
+
+def test_prove_alarm_is_an_internal_error(monkeypatch, capsys):
+    # A fake loop on `less`, which a precedence orients: both methods answer.
+    self_loop = ck.parse_ctrs((CORPUS / "self_loop.ctrs").read_text(), "self_loop")
+    fake_loop = ck.mu_terminating_on_seeds(
+        ck.enumerate_original_terms(self_loop.signature, 1), ck.unravel_cs(self_loop)
+    )
+    real = checker.mu_terminating_on_seeds
+
+    def loops_on_less(seeds, cs, fuel=ck.DEFAULT_FUEL, engine=None):
+        if any(s.name == "<" for s in cs.signature):
+            return fake_loop
+        return real(seeds, cs, fuel, engine)
+
+    monkeypatch.setattr(checker, "mu_terminating_on_seeds", loops_on_less)
+    assert cli_main(["prove", corpus("less")]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert "verdict" not in captured.out
+    assert captured.err.startswith("ALARM: methods disagree")
+
+
+def test_crash_on_deep_term_is_an_internal_error(capsys):
+    deep = "<(" + "s(" * 3000 + "0" + ")" * 3000 + ",0)"
+    assert cli_main(["rewrite", corpus("bubble_sort"), "-t", deep]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RecursionError")
+    assert len(err.splitlines()) == 1

@@ -1,11 +1,14 @@
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SMALL_SIG, load_system, random_ground_term, terms_over
+from conftest import CORPUS, SMALL_SIG, load_system, random_ground_term, terms_over
 
 import ctrskit as ck
+from ctrskit import lpo
 from ctrskit.lpo import (
     Precedence,
     SignatureTooLargeError,
@@ -14,7 +17,17 @@ from ctrskit.lpo import (
     orients,
     search_precedence,
 )
-from ctrskit.terms import App, FunSym, Var, apply_subst, positions, replace_at, subterm_at
+from ctrskit.terms import (
+    App,
+    FunSym,
+    Term,
+    Var,
+    apply_subst,
+    positions,
+    replace_at,
+    subterm_at,
+    vars_of,
+)
 from ctrskit.unravel import Rule, Trs, unravel
 
 LT = FunSym("<", 2)
@@ -166,3 +179,146 @@ def test_monotonicity_sampled():
             assert lpo_greater(App(f2, (a, other)), App(f2, (b, other)), prec)
             assert lpo_greater(App(f2, (other, a)), App(f2, (other, b)), prec)
     assert fired > 50
+
+
+# -- reference oracle: the permutation search that preceded the partial-order one
+
+def _and3(a, b):
+    if a is False or b is False:
+        return False
+    if a is True and b is True:
+        return True
+    return None
+
+
+def _or3(a, b):
+    if a is True or b is True:
+        return True
+    if a is False and b is False:
+        return False
+    return None
+
+
+def _perm_lpo3(s: Term, t: Term, ranks: dict) -> Optional[bool]:
+    if isinstance(s, Var):
+        return False
+    if isinstance(t, Var):
+        return t.name in vars_of(s)
+    result: Optional[bool] = False
+    for si in s.args:
+        result = _or3(result, True if si == t else _perm_lpo3(si, t, ranks))
+        if result is True:
+            return True
+    dominates: Optional[bool] = True
+    for tj in t.args:
+        dominates = _and3(dominates, _perm_lpo3(s, tj, ranks))
+        if dominates is False:
+            break
+    if s.sym == t.sym:
+        lex: Optional[bool] = False
+        for sk, tk in zip(s.args, t.args):
+            if sk == tk:
+                continue
+            lex = _perm_lpo3(sk, tk, ranks)
+            break
+        result = _or3(result, _and3(lex, dominates))
+    else:
+        rs, rt = ranks.get(s.sym), ranks.get(t.sym)
+        root_greater = rs < rt if rs is not None and rt is not None else None
+        result = _or3(result, _and3(root_greater, dominates))
+    return result
+
+
+def permutation_search(system: Trs) -> Optional[Precedence]:
+    """The precedence search as it was before the partial-order search.
+
+    It walks permutations of the signature (sorted by name then arity) as a
+    prefix tree in lexicographic order and prunes a prefix once some rule is
+    unorientable under every completion, so it returns the lexicographically
+    first orienting permutation.  Kept only as a test oracle.
+    """
+    symbols = sorted(system.signature, key=lambda s: (s.name, s.arity))
+    pairs = [(r.lhs, r.rhs) for r in system.rules]
+
+    def extend(prefix, remaining, pending):
+        ranks = {sym: i for i, sym in enumerate(prefix)}
+        undecided = []
+        for lhs, rhs in pending:
+            verdict = _perm_lpo3(lhs, rhs, ranks)
+            if verdict is False:
+                return None
+            if verdict is not True:
+                undecided.append((lhs, rhs))
+        if not undecided:
+            return Precedence(tuple(prefix + remaining))
+        if not remaining:
+            return None
+        for i, sym in enumerate(remaining):
+            found = extend(prefix + [sym], remaining[:i] + remaining[i + 1 :], undecided)
+            if found is not None:
+                return found
+        return None
+
+    return extend([], symbols, pairs)
+
+
+A0, B0 = FunSym("a", 0), FunSym("b", 0)
+F1, G1 = FunSym("f", 1), FunSym("g", 1)
+H2, K2 = FunSym("h", 2), FunSym("k", 2)
+
+
+def _terms(depth: int):
+    leaves = st.sampled_from([App(A0), App(B0), Var("x"), Var("y")])
+    if depth == 0:
+        return leaves
+    sub = _terms(depth - 1)
+    return st.one_of(
+        leaves,
+        *[
+            st.builds(lambda *args, sym=sym: App(sym, args), *([sub] * sym.arity))
+            for sym in (F1, G1, H2, K2)
+        ],
+    )
+
+
+def _rule(i: int, lhs: Term, rhs: Term) -> Rule:
+    # Unbound right-hand variables become the constant a.
+    unbound = set(vars_of(rhs)) - set(vars_of(lhs))
+    return Rule(f"r{i}", lhs, apply_subst(rhs, {v: App(A0) for v in unbound}))
+
+
+small_trs = st.lists(
+    st.tuples(_terms(3).filter(lambda t: isinstance(t, App)), _terms(3)),
+    min_size=1,
+    max_size=4,
+).map(lambda sides: Trs.of([_rule(i, l, r) for i, (l, r) in enumerate(sides)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_trs)
+def test_search_matches_permutation_oracle(trs):
+    found = search_precedence(trs)
+    assert found == permutation_search(trs)
+    if found is not None:
+        assert orients(trs, found)
+
+
+def test_search_matches_permutation_oracle_on_corpus():
+    for path in sorted(CORPUS.glob("*.ctrs")):
+        trs = unravel(load_system(path.stem))
+        assert search_precedence(trs) == permutation_search(trs), path.stem
+
+
+def test_failing_bubble_search_stays_small(bubble, monkeypatch):
+    # The permutation search made about 913k three-valued comparisons here.
+    calls = 0
+    real = lpo._lpo3
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(lpo, "_lpo3", counting)
+    assert search_precedence(unravel(bubble)) is None
+    assert 0 < calls < 20_000
