@@ -11,7 +11,7 @@ witness), or fuel ran out first (unknown).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .ctrs import (
     DEFAULT_FUEL,
@@ -23,6 +23,7 @@ from .ctrs import (
     bfs,
     dfs,
     expansion_budget,
+    rules_by_root,
     within_size,
 )
 from .terms import (
@@ -82,25 +83,32 @@ class MuEngine:
 
     def __init__(self, system: Csrs):
         self.system = system
+        self._rules_at = rules_by_root(system.rules)
         self._cache: dict[Term, tuple[ReductionStep, ...]] = {}
 
     def steps(self, s: Term) -> tuple[ReductionStep, ...]:
         cached = self._cache.get(s)
         if cached is None:
-            cached = tuple(_steps_at(s, self.system.rules, sorted(active_positions(s, self.system.mu)), KIND_MU))
+            places = sorted(active_positions(s, self.system.mu))
+            cached = tuple(_steps_at(s, self._rules_at, places, KIND_MU))
             self._cache[s] = cached
         return cached
 
 
 def _steps_at(
-    s: Term, rules: Sequence[Rule], places: Iterable[tuple[int, ...]], kind: str
+    s: Term,
+    rules_at: Mapping[FunSym, Sequence[Rule]],
+    places: Iterable[tuple[int, ...]],
+    kind: str,
 ) -> list[ReductionStep]:
+    """Steps at ``places`` in order, each place's rules in ``rules_at``'s
+    order for the redex's root symbol."""
     out = []
     for p in places:
         redex = subterm_at(s, p)
         if not isinstance(redex, App):
             continue
-        for rule in rules:
+        for rule in rules_at.get(redex.sym, ()):
             sigma = match(rule.lhs, redex)
             if sigma is None:
                 continue
@@ -119,7 +127,7 @@ def _steps_at(
 
 def plain_steps(s: Term, system: Trs) -> list[ReductionStep]:
     """Unrestricted one-step rewriting; the reference point for the engine."""
-    return _steps_at(s, system.rules, sorted(positions(s)), KIND_PLAIN)
+    return _steps_at(s, rules_by_root(system.rules), sorted(positions(s)), KIND_PLAIN)
 
 
 @dataclass

@@ -22,6 +22,7 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .terms import (
+    App,
     FunSym,
     Position,
     Subst,
@@ -418,6 +419,15 @@ def dfs(
     return Walk(None, None, state if acyclic else None)
 
 
+def rules_by_root(rules: Iterable[Any]) -> dict[FunSym, tuple[Any, ...]]:
+    """``rules`` grouped by the root symbol of their left-hand side, each
+    group in the given order: only one group can match at a given redex."""
+    index: dict[FunSym, list] = {}
+    for rule in rules:
+        index.setdefault(rule.lhs.sym, []).append(rule)
+    return {sym: tuple(group) for sym, group in index.items()}
+
+
 def _subst_key(sigma: Subst) -> tuple:
     return tuple(sorted(sigma.items(), key=lambda kv: kv[0]))
 
@@ -433,6 +443,7 @@ class ConditionalEngine:
     def __init__(self, system: Dctrs, fuel: Fuel = DEFAULT_FUEL):
         self.system = system
         self.fuel = fuel
+        self._rules_at = rules_by_root(system.rules)
         # (subterm, rule_id, budget) -> (solutions, exhausted)
         self._rule_cache: dict[tuple, tuple[tuple[tuple[dict, int], ...], bool]] = {}
         # (term, budget) -> (reduct closure in BFS order, exhausted)
@@ -455,10 +466,12 @@ class ConditionalEngine:
     def _has_syntactic_redex(self, t: Term) -> bool:
         cached = self._redex_cache.get(t)
         if cached is None:
+            redexes = (subterm_at(t, p) for p in positions(t))
             cached = any(
-                match(rule.lhs, subterm_at(t, p)) is not None
-                for p in positions(t)
-                for rule in self.system.rules
+                match(rule.lhs, redex) is not None
+                for redex in redexes
+                if isinstance(redex, App)
+                for rule in self._rules_at.get(redex.sym, ())
             )
             self._redex_cache[t] = cached
         return cached
@@ -565,7 +578,7 @@ class ConditionalEngine:
             redex = subterm_at(s, p)
             if isinstance(redex, Var):
                 continue
-            for rule in self.system.rules:
+            for rule in self._rules_at.get(redex.sym, ()):
                 solutions, rule_exhausted = self._rule_solutions(redex, rule, budget)
                 exhausted = exhausted or rule_exhausted
                 for sigma, level in solutions:

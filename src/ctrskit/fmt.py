@@ -60,6 +60,11 @@ class Token:
 _DELIMS = "(),|"
 _RESERVED = ("->", "==")
 
+# Nodes on the longest root-to-leaf path of a parsed term.  The parser and
+# the term traversals recurse per level, so deeper input gets a positioned
+# diagnostic instead of exhausting the interpreter stack.
+MAX_TERM_DEPTH = 256
+
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
@@ -191,26 +196,28 @@ class _Parser:
             self.symbols[key] = sym
         return sym
 
-    def term(self) -> Term:
+    def term(self, depth: int = 1) -> Term:
         head = self.word("a term")
         nxt = self.peek()
         if nxt is not None and nxt.text == "(":
             if head.text in self.variables:
                 raise self.fail(f"variable {head.text!r} cannot take arguments", head)
-            self.take()
+            opening = self.take()
             args: list[Term] = []
             closing = self.peek()
             if closing is not None and closing.text == ")":
                 self.take()
             else:
-                args.append(self.term())
+                if depth >= MAX_TERM_DEPTH:
+                    raise self.fail(f"term nested deeper than {MAX_TERM_DEPTH} levels", opening)
+                args.append(self.term(depth + 1))
                 while True:
                     tok = self.take()
                     if tok.text == ")":
                         break
                     if tok.text != ",":
                         raise self.fail(f"expected ',' or ')', found {tok.text!r}", tok)
-                    args.append(self.term())
+                    args.append(self.term(depth + 1))
             return App(self.symbol(head.text, len(args), head), tuple(args))
         if head.text in self.variables:
             return Var(head.text)

@@ -3,13 +3,16 @@ rest of the toolkit is built on: positions, substitutions, matching, and
 replacement-map-aware (active-position) traversal.
 
 Terms are immutable values with structural equality, so they can be shared
-freely, used as dict keys, and compared for loop detection.  Positions are
-1-indexed integer tuples; the empty tuple is the root.
+freely, used as dict keys, and compared for loop detection.  An application
+computes its hash, its size and whether it is original (free of unraveling
+symbols) once, at construction, from the same attributes of its arguments:
+dict and set lookups and size checks never walk the term again.  Positions
+are 1-indexed integer tuples; the empty tuple is the root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 Position = tuple[int, ...]
@@ -58,28 +61,66 @@ class FunSym:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """A variable leaf."""
 
     name: str
 
+    def __reduce__(self):
+        # Rebuild from the field, as App does: Python 3.10 cannot unpickle
+        # a frozen slotted dataclass by assigning its slots.
+        return Var, (self.name,)
+
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
-    """An application ``sym(args...)``; arity is checked on construction."""
+    """An application ``sym(args...)``; arity is checked on construction.
+
+    Equality is structural; the hash, the node count and the original flag
+    are computed once, from the arguments' cached values, and never compared.
+    """
 
     sym: FunSym
     args: tuple["Term", ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+    _size: int = field(init=False, repr=False, compare=False)
+    _original: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.args) != self.sym.arity:
+        sym, args = self.sym, self.args
+        if len(args) != sym.arity:
             raise ValueError(
-                f"{self.sym.name} has arity {self.sym.arity}, got {len(self.args)} arguments"
+                f"{sym.name} has arity {sym.arity}, got {len(args)} arguments"
             )
+        size, original = 1, sym.origin is None
+        for arg in args:
+            if arg.__class__ is App:
+                size += arg._size
+                original = original and arg._original
+            else:
+                size += 1
+        object.__setattr__(self, "_hash", hash((sym, args)))
+        object.__setattr__(self, "_size", size)
+        object.__setattr__(self, "_original", original)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        return self._hash == other._hash and self.sym == other.sym and self.args == other.args
+
+    def __reduce__(self):
+        # Rebuild from the fields: a cached hash of one process is not valid
+        # in another with a different hash seed.
+        return App, (self.sym, self.args)
 
     def __str__(self) -> str:
         return term_to_str(self)
@@ -98,9 +139,7 @@ def app(sym: FunSym, *args: Term) -> App:
 
 def term_size(t: Term) -> int:
     """Number of nodes in ``t``."""
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    return t._size if t.__class__ is App else 1
 
 
 def term_to_str(t: Term) -> str:
@@ -270,11 +309,7 @@ def mu_proper_subterms(t: Term, mu: ReplacementMap) -> set[Term]:
 
 def is_original(t: Term) -> bool:
     """True iff no unraveling-introduced symbol occurs in ``t``."""
-    if isinstance(t, Var):
-        return True
-    if t.sym.is_usymbol:
-        return False
-    return all(is_original(a) for a in t.args)
+    return t._original if t.__class__ is App else True
 
 
 def fun_syms(t: Term) -> set[FunSym]:

@@ -86,3 +86,19 @@ def random_ground_term(rng: random.Random, signature, max_size: int):
         args.append(random_ground_term(rng, signature, size))
         budget -= ck.term_size(args[-1])
     return App(sym, tuple(args))
+
+
+def spy_rule_matches(monkeypatch, module, rules):
+    """Record ``(pattern, subject)`` for every call of ``module.match`` whose
+    pattern is the left-hand side of one of ``rules``."""
+    lhs_ids = {id(rule.lhs) for rule in rules}
+    calls = []
+    real = module.match
+
+    def recording(pattern, subject):
+        if id(pattern) in lhs_ids:
+            calls.append((pattern, subject))
+        return real(pattern, subject)
+
+    monkeypatch.setattr(module, "match", recording)
+    return calls

@@ -6,8 +6,10 @@ import pytest
 from conftest import CORPUS
 
 import ctrskit as ck
-from ctrskit import checker
-from ctrskit.cli import EXIT_INTERNAL, cli_main
+from ctrskit import checker, cli
+from ctrskit.cli import EXIT_INPUT, EXIT_INTERNAL, cli_main
+from ctrskit.fmt import MAX_TERM_DEPTH
+from ctrskit.terms import App
 
 
 def corpus(name: str) -> str:
@@ -185,9 +187,47 @@ def test_prove_alarm_is_an_internal_error(monkeypatch, capsys):
     assert captured.err.startswith("ALARM: methods disagree")
 
 
-def test_crash_on_deep_term_is_an_internal_error(capsys):
-    deep = "<(" + "s(" * 3000 + "0" + ")" * 3000 + ",0)"
-    assert cli_main(["rewrite", corpus("bubble_sort"), "-t", deep]) == EXIT_INTERNAL
+def test_crash_on_deep_term_is_an_internal_error(monkeypatch, capsys):
+    # The parser rejects input deeper than MAX_TERM_DEPTH; a deeper term that
+    # reaches the engine anyway still overflows its recursive traversals.
+    real = cli.parse_term
+
+    def deep_term(text, problem):
+        term, succ = real("0", problem), real("s(0)", problem).sym
+        for _ in range(3000):
+            term = App(succ, (term,))
+        return App(real("<(0,0)", problem).sym, (term, real("0", problem)))
+
+    monkeypatch.setattr(cli, "parse_term", deep_term)
+    assert cli_main(["rewrite", corpus("bubble_sort"), "-t", "0"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("internal error: RecursionError")
     assert len(err.splitlines()) == 1
+
+
+def _nested(depth: int) -> str:
+    """``<(s(...s(0)...),0)`` with ``depth`` nodes on its longest path."""
+    return "<(" + "s(" * (depth - 2) + "0" + ")" * (depth - 2) + ",0)"
+
+
+def test_deep_term_is_an_input_error(capsys):
+    assert cli_main(["rewrite", corpus("bubble_sort"), "-t", _nested(3000)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    # The `(` after the s at depth 256 would open depth 257: column 2 + 2 * 255.
+    assert err == f"error: 1:512: term nested deeper than {MAX_TERM_DEPTH} levels\n"
+
+
+def test_deep_rule_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.ctrs"
+    path.write_text(f"(VAR x)\n(RULES\n  g(x) -> x\n  f({_nested(3000)}) -> 0\n)\n")
+    assert cli_main(["prove", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: 4:514: term nested deeper than {MAX_TERM_DEPTH} levels\n"
+
+
+def test_term_at_the_depth_limit_rewrites(capsys):
+    term = _nested(MAX_TERM_DEPTH)
+    assert cli_main(["rewrite", corpus("bubble_sort"), "-t", term, "--mu"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("false")
+    assert cli_main(["rewrite", corpus("bubble_sort"), "-t", term]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("false")

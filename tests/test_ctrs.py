@@ -1,8 +1,10 @@
 import pytest
 
-from conftest import load_system, term_of
+from conftest import load_system, spy_rule_matches, term_of
 
 import ctrskit as ck
+from ctrskit import ctrs
+from ctrskit.csrewrite import enumerate_original_terms
 from ctrskit.ctrs import (
     ConditionalEngine,
     ConditionalRule,
@@ -17,6 +19,17 @@ def test_fuel_bounds_positive():
         Fuel(max_level=0)
     with pytest.raises(ValueError):
         Fuel(max_steps=-1)
+
+
+def test_conditional_steps_try_only_rules_with_the_redex_root(bubble, monkeypatch):
+    # Trying every rule at every position made 2,080 rule matches here,
+    # 1,824 of them against a redex with another root symbol.
+    calls = spy_rule_matches(monkeypatch, ctrs, bubble.rules)
+    engine = ConditionalEngine(bubble)
+    seeds = enumerate_original_terms(bubble.signature, 4)
+    assert sum(len(engine.all_steps(t).steps) for t in seeds) == 16
+    assert all(isinstance(u, App) and pattern.sym == u.sym for pattern, u in calls)
+    assert 0 < len(calls) <= 300
 
 
 def test_validate_bubble(bubble):

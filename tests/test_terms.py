@@ -1,3 +1,9 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,3 +228,90 @@ def test_vars_of_deterministic(ts):
 @given(terms_over())
 def test_positions_count_equals_size(t):
     assert len(positions(t)) == term_size(t)
+
+
+# -- cached attributes ---------------------------------------------------------
+
+MIXED_SIG = SMALL_SIG + (FunSym("U", 2, origin=("r1", 1)),)
+
+
+def _reference_size(t):
+    return 1 if isinstance(t, Var) else 1 + sum(_reference_size(a) for a in t.args)
+
+
+def _reference_original(t):
+    if isinstance(t, Var):
+        return True
+    return not t.sym.is_usymbol and all(_reference_original(a) for a in t.args)
+
+
+def _reference_key(t):
+    if isinstance(t, Var):
+        return ("var", t.name)
+    return ("app", t.sym.name, t.sym.arity, t.sym.origin, tuple(map(_reference_key, t.args)))
+
+
+def _rebuilt(t):
+    """An equal term that shares no node or symbol object with ``t``."""
+    if isinstance(t, Var):
+        return Var(str(t.name))
+    sym = FunSym(t.sym.name, t.sym.arity, t.sym.origin)
+    return App(sym, tuple(_rebuilt(a) for a in t.args))
+
+
+@settings(max_examples=200)
+@given(terms_over(MIXED_SIG))
+def test_cached_size_and_original_flag(t):
+    assert term_size(t) == _reference_size(t)
+    assert is_original(t) == _reference_original(t)
+
+
+@settings(max_examples=200)
+@given(terms_over(MIXED_SIG))
+def test_terms_built_apart_are_equal_with_equal_hashes(t):
+    twin = _rebuilt(t)
+    assert twin == t and t == twin and not twin != t
+    assert hash(twin) == hash(t)
+    assert {t: 1}[twin] == 1
+
+
+@settings(max_examples=200)
+@given(terms_over(MIXED_SIG), terms_over(MIXED_SIG))
+def test_equality_is_structural(s, t):
+    assert (s == t) == (_reference_key(s) == _reference_key(t))
+    assert (s != t) == (_reference_key(s) != _reference_key(t))
+    fresh = App(FunSym("e", 0))
+    for p in positions(t):
+        assert replace_at(t, p, fresh) != t
+
+
+@settings(max_examples=100)
+@given(terms_over(MIXED_SIG))
+def test_pickle_and_deepcopy_round_trips(t):
+    for twin in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert twin == t
+        assert hash(twin) == hash(t)
+        assert term_size(twin) == term_size(t)
+        assert is_original(twin) == is_original(t)
+
+
+def test_unpickled_term_hashes_with_its_own_process_seed():
+    t = App(CONS, (App(S, (zero,)), App(U4, (true, Var("x"), zero, nil))))
+    child = (
+        "import pickle, sys\n"
+        "t = pickle.loads(sys.stdin.buffer.read())\n"
+        "from ctrskit.terms import App, FunSym, Var\n"
+        "print(hash(t) == hash(eval(sys.argv[1])))\n"
+    )
+    built = repr(t)
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    out = subprocess.run(
+        [sys.executable, "-c", child, built],
+        input=pickle.dumps(t),
+        capture_output=True,
+        env=env,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.decode().strip() == "True"
