@@ -19,7 +19,7 @@ from .checker import (
     prove_quasi_decreasing,
     validate_witness_order,
 )
-from .csrewrite import MuEngine, enumerate_original_terms, explore, plain_steps
+from .csrewrite import MuEngine, enumerate_original_terms, explore
 from .ctrs import ConditionalEngine, Dctrs, Fuel, validate_dctrs
 from .experiment import ExperimentConfig, load_config, run_experiment
 from .fmt import (
@@ -111,7 +111,7 @@ def _successor_fn(problem, fuel: Fuel, use_mu: bool):
     if isinstance(system, Dctrs):
         engine = ConditionalEngine(system, fuel)
         return lambda t: engine.all_steps(t).steps
-    return lambda t: plain_steps(t, system)
+    return MuEngine(system).steps
 
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:

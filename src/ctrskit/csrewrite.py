@@ -6,12 +6,16 @@ Exploration deduplicates terms globally, so a reduct shared by many paths is
 expanded once.  A verdict is one of: the graph was fully expanded and acyclic
 (terminates within the reported depth), a term repeats along a path (loop
 witness), or fuel ran out first (unknown).
+
+A :class:`MuEngine` computes a term's steps from its arguments' steps and
+keeps those of every term it meets, subterms included, for its lifetime:
+they depend on the system alone, so the memo is never invalidated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .ctrs import (
     DEFAULT_FUEL,
@@ -23,23 +27,21 @@ from .ctrs import (
     bfs,
     dfs,
     expansion_budget,
+    lift_steps,
     rules_by_root,
     within_size,
 )
 from .terms import (
+    ROOT,
     App,
     FunSym,
     Term,
-    active_positions,
     apply_subst,
     is_original,
     match,
-    positions,
-    replace_at,
-    subterm_at,
     term_to_str,
 )
-from .unravel import Csrs, Rule, Trs
+from .unravel import Csrs, Trs
 
 
 @dataclass(frozen=True)
@@ -79,55 +81,57 @@ class MuVerdict:
 
 
 class MuEngine:
-    """Memoized one-step successor enumeration for a context-sensitive system."""
+    """Memoized one-step successor enumeration: ``mu`` steps at the active
+    positions of a context-sensitive system, ``plain`` steps at every
+    position of a plain one.
 
-    def __init__(self, system: Csrs):
+    A term's steps are its root steps, rules in ``rules_by_root`` order, then
+    each active argument's memoized steps lifted in ascending argument order:
+    a preorder walk, so positions come out in sorted order.
+    """
+
+    def __init__(self, system: Union[Csrs, Trs]):
         self.system = system
         self._rules_at = rules_by_root(system.rules)
+        self._mu = system.mu if isinstance(system, Csrs) else None
+        self._kind = KIND_MU if self._mu is not None else KIND_PLAIN
+        self._active: dict[FunSym, tuple[int, ...]] = {}
         self._cache: dict[Term, tuple[ReductionStep, ...]] = {}
 
     def steps(self, s: Term) -> tuple[ReductionStep, ...]:
+        return self._steps(s)
+
+    def _steps(self, s: Term) -> tuple[ReductionStep, ...]:
+        # Recursion goes through here, not through ``steps``, so that calls
+        # of ``steps`` count only the terms callers asked about.
         cached = self._cache.get(s)
-        if cached is None:
-            places = sorted(active_positions(s, self.system.mu))
-            cached = tuple(_steps_at(s, self._rules_at, places, KIND_MU))
-            self._cache[s] = cached
+        if cached is not None:
+            return cached
+        out: list[ReductionStep] = []
+        if isinstance(s, App):
+            for rule in self._rules_at.get(s.sym, ()):
+                sigma = match(rule.lhs, s)
+                if sigma is not None:
+                    rhs = apply_subst(rule.rhs, sigma)
+                    out.append(ReductionStep(s, rhs, ROOT, rule.id, sigma, self._kind))
+            if s.args:  # constants need no replacement-map entry
+                for i in self._active_indices(s.sym):
+                    out += lift_steps(s, i, self._steps(s.args[i - 1]))
+        cached = self._cache[s] = tuple(out)
         return cached
 
-
-def _steps_at(
-    s: Term,
-    rules_at: Mapping[FunSym, Sequence[Rule]],
-    places: Iterable[tuple[int, ...]],
-    kind: str,
-) -> list[ReductionStep]:
-    """Steps at ``places`` in order, each place's rules in ``rules_at``'s
-    order for the redex's root symbol."""
-    out = []
-    for p in places:
-        redex = subterm_at(s, p)
-        if not isinstance(redex, App):
-            continue
-        for rule in rules_at.get(redex.sym, ()):
-            sigma = match(rule.lhs, redex)
-            if sigma is None:
-                continue
-            out.append(
-                ReductionStep(
-                    source=s,
-                    target=replace_at(s, p, apply_subst(rule.rhs, sigma)),
-                    position=p,
-                    rule_id=rule.id,
-                    subst=sigma,
-                    kind=kind,
-                )
-            )
-    return out
+    def _active_indices(self, sym: FunSym) -> tuple[int, ...]:
+        indices = self._active.get(sym)
+        if indices is None:
+            active = range(1, sym.arity + 1) if self._mu is None else self._mu.active_indices(sym)
+            indices = self._active[sym] = tuple(sorted(active))
+        return indices
 
 
 def plain_steps(s: Term, system: Trs) -> list[ReductionStep]:
-    """Unrestricted one-step rewriting; the reference point for the engine."""
-    return _steps_at(s, rules_by_root(system.rules), sorted(positions(s)), KIND_PLAIN)
+    """Unrestricted one-step rewriting: steps at every position, of kind
+    ``plain``, from a fresh engine."""
+    return list(MuEngine(system)._steps(s))
 
 
 @dataclass

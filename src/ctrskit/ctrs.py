@@ -12,6 +12,15 @@ steps of level ``i`` or lower, and level 0 permits no steps at all.
 Conditional rewriting is undecidable in general, so every search here is
 bounded by a :class:`Fuel` and every answer carries an ``exhausted`` flag
 distinguishing "provably absent" from "not found within bounds".
+
+The engine memoizes per (term, level budget): rule solutions, reduct
+closures and one-step reducts.  A term's one-step reducts are its root steps
+followed by each argument's memoized reducts, lifted to the argument's
+position.  A result is stored only if the operation's work budget was not
+spent when it was complete, so no entry was cut short by the budget, and a
+later operation, with a fresh budget, recomputes what an earlier one could
+not finish.  A warm engine spends less on subproblems it has already solved,
+so it can finish where a fresh one runs out of budget.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .terms import (
+    ROOT,
     App,
     FunSym,
     Position,
@@ -31,7 +41,6 @@ from .terms import (
     apply_subst,
     fun_syms,
     match,
-    positions,
     replace_at,
     subterm_at,
     term_size,
@@ -276,6 +285,25 @@ class Reduction:
         return " -> ".join(term_to_str(t) for t in self.terms())
 
 
+def lift_steps(s: App, i: int, steps: Iterable[ReductionStep]) -> list[ReductionStep]:
+    """The steps of argument ``i`` of ``s`` as steps of ``s``: each moves to
+    position ``(i,) + p`` and targets ``s`` with that argument rewritten;
+    rule, substitution, kind and level stay."""
+    sym, before, after = s.sym, s.args[: i - 1], s.args[i:]
+    return [
+        ReductionStep(
+            s,
+            App(sym, before + (step.target,) + after),
+            (i,) + step.position,
+            step.rule_id,
+            step.subst,
+            step.kind,
+            step.level,
+        )
+        for step in steps
+    ]
+
+
 class StepAt(NamedTuple):
     step: Optional[ReductionStep]
     exhausted: bool
@@ -448,6 +476,8 @@ class ConditionalEngine:
         self._rule_cache: dict[tuple, tuple[tuple[tuple[dict, int], ...], bool]] = {}
         # (term, budget) -> (reduct closure in BFS order, exhausted)
         self._reduct_cache: dict[tuple, tuple[tuple[Term, ...], bool]] = {}
+        # (term, budget) -> (one-step reducts in `_successors` order, exhausted)
+        self._step_cache: dict[tuple, tuple[tuple[ReductionStep, ...], bool]] = {}
         self._redex_cache: dict[Term, bool] = {}
         # max_steps is a global work budget per public operation; nested
         # condition-discharge searches would otherwise multiply their bounds.
@@ -466,12 +496,9 @@ class ConditionalEngine:
     def _has_syntactic_redex(self, t: Term) -> bool:
         cached = self._redex_cache.get(t)
         if cached is None:
-            redexes = (subterm_at(t, p) for p in positions(t))
-            cached = any(
-                match(rule.lhs, redex) is not None
-                for redex in redexes
-                if isinstance(redex, App)
-                for rule in self._rules_at.get(redex.sym, ())
+            cached = isinstance(t, App) and (
+                any(match(rule.lhs, t) is not None for rule in self._rules_at.get(t.sym, ()))
+                or any(self._has_syntactic_redex(arg) for arg in t.args)
             )
             self._redex_cache[t] = cached
         return cached
@@ -571,33 +598,44 @@ class ConditionalEngine:
 
     def _successors(self, s: Term, budget: int) -> tuple[tuple[ReductionStep, ...], bool]:
         """All one-step reducts of ``s`` at levels <= budget, deduplicated by
-        (target, position, rule) and ordered by position then rule id."""
-        out: dict[tuple, ReductionStep] = {}
+        (target, position, rule) and ordered by position, rule id, target.
+
+        The root steps come first, then each argument's own (cached) steps
+        lifted in argument order: a preorder walk, so the order is that of
+        sorted positions.  Lifting is injective and keeps the order of
+        targets, so an argument's deduplicated, ordered steps stay so."""
+        key = (s, budget)
+        cached = self._step_cache.get(key)
+        if cached is not None:
+            return cached
+        if isinstance(s, Var):
+            return (), False
+        root: dict[tuple, ReductionStep] = {}
         exhausted = False
-        for p in sorted(positions(s)):
-            redex = subterm_at(s, p)
-            if isinstance(redex, Var):
-                continue
-            for rule in self._rules_at.get(redex.sym, ()):
-                solutions, rule_exhausted = self._rule_solutions(redex, rule, budget)
-                exhausted = exhausted or rule_exhausted
-                for sigma, level in solutions:
-                    target = replace_at(s, p, apply_subst(rule.rhs, sigma))
-                    dedup = (target, p, rule.id)
-                    if dedup not in out:
-                        out[dedup] = ReductionStep(
-                            source=s,
-                            target=target,
-                            position=p,
-                            rule_id=rule.id,
-                            subst=sigma,
-                            kind=KIND_CONDITIONAL,
-                            level=level,
-                        )
-        ordered = tuple(
-            sorted(out.values(), key=lambda st: (st.position, st.rule_id, _term_key(st.target)))
-        )
-        return ordered, exhausted
+        for rule in self._rules_at.get(s.sym, ()):
+            solutions, rule_exhausted = self._rule_solutions(s, rule, budget)
+            exhausted = exhausted or rule_exhausted
+            for sigma, level in solutions:
+                target = apply_subst(rule.rhs, sigma)
+                if (target, rule.id) not in root:
+                    root[target, rule.id] = ReductionStep(
+                        source=s,
+                        target=target,
+                        position=ROOT,
+                        rule_id=rule.id,
+                        subst=sigma,
+                        kind=KIND_CONDITIONAL,
+                        level=level,
+                    )
+        out = sorted(root.values(), key=lambda st: (st.rule_id, _term_key(st.target)))
+        for i, arg in enumerate(s.args, start=1):
+            steps, arg_exhausted = self._successors(arg, budget)
+            exhausted = exhausted or arg_exhausted
+            out += lift_steps(s, i, steps)
+        result = (tuple(out), exhausted)
+        if self._work <= self.fuel.max_steps:
+            self._step_cache[key] = result
+        return result
 
     # -- public operations -------------------------------------------------
 

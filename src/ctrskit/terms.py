@@ -6,8 +6,10 @@ Terms are immutable values with structural equality, so they can be shared
 freely, used as dict keys, and compared for loop detection.  An application
 computes its hash, its size and whether it is original (free of unraveling
 symbols) once, at construction, from the same attributes of its arguments:
-dict and set lookups and size checks never walk the term again.  Positions
-are 1-indexed integer tuples; the empty tuple is the root.
+dict and set lookups and size checks never walk the term again.  Function
+symbols cache their hash as well and compare by value; since a parsed system
+shares its symbol objects, every symbol comparison tests identity first.
+Positions are 1-indexed integer tuples; the empty tuple is the root.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ class FunSym:
     name: str
     arity: int
     origin: Optional[tuple[str, int]] = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -52,6 +55,14 @@ class FunSym:
             raise ValueError(f"negative arity for {self.name!r}")
         if self.origin is not None and self.origin[1] < 1:
             raise ValueError(f"condition index must be >= 1, got {self.origin}")
+        object.__setattr__(self, "_hash", hash((self.name, self.arity, self.origin)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # As for App: the cached hash is only valid under this process's seed.
+        return FunSym, (self.name, self.arity, self.origin)
 
     @property
     def is_usymbol(self) -> bool:
@@ -115,7 +126,11 @@ class App:
             return True
         if other.__class__ is not App:
             return NotImplemented
-        return self._hash == other._hash and self.sym == other.sym and self.args == other.args
+        return (
+            self._hash == other._hash
+            and (self.sym is other.sym or self.sym == other.sym)
+            and self.args == other.args
+        )
 
     def __reduce__(self):
         # Rebuild from the fields: a cached hash of one process is not valid
@@ -144,23 +159,39 @@ def term_size(t: Term) -> int:
 
 def term_to_str(t: Term) -> str:
     """Prefix rendering: ``f(a,b)``, constants and variables bare."""
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.sym.name
-    return f"{t.sym.name}({','.join(term_to_str(a) for a in t.args)})"
+    return _render(t, infix=False)
 
 
 def pretty(t: Term) -> str:
     """Human-oriented rendering: binary symbols with non-word names go infix."""
-    if isinstance(t, Var):
-        return t.name
-    if t.sym.arity == 2 and not t.sym.name[0].isalnum() and not t.sym.is_usymbol:
-        lhs, rhs = (pretty(a) for a in t.args)
-        return f"({lhs} {t.sym.name} {rhs})"
-    if not t.args:
-        return t.sym.name
-    return f"{t.sym.name}({','.join(pretty(a) for a in t.args)})"
+    return _render(t, infix=True)
+
+
+def _render(t: Term, infix: bool) -> str:
+    """The renderers' shared walk, with an explicit stack so that terms of any
+    depth print."""
+    out: list[str] = []
+    todo: list = [t]  # terms still to render and literal text still to emit
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Var):
+            out.append(node.name)
+        elif not node.args:
+            out.append(node.sym.name)
+        else:
+            name, args = node.sym.name, node.args
+            if infix and len(args) == 2 and not name[0].isalnum() and not node.sym.is_usymbol:
+                out.append("(")
+                todo += [")", args[1], f" {name} ", args[0]]
+                continue
+            out.append(name + "(")
+            todo.append(")")
+            for arg in reversed(args[1:]):
+                todo += [arg, ","]
+            todo.append(args[0])
+    return "".join(out)
 
 
 def format_position(p: Position) -> str:
@@ -243,7 +274,7 @@ def match(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
                 binding[pat.name] = sub
                 return True
             return bound == sub
-        if isinstance(sub, Var) or pat.sym != sub.sym:
+        if isinstance(sub, Var) or (pat.sym is not sub.sym and pat.sym != sub.sym):
             return False
         return all(walk(p, s) for p, s in zip(pat.args, sub.args))
 

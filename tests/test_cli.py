@@ -231,3 +231,17 @@ def test_term_at_the_depth_limit_rewrites(capsys):
     assert capsys.readouterr().out.rstrip().endswith("false")
     assert cli_main(["rewrite", corpus("bubble_sort"), "-t", term]) == 0
     assert capsys.readouterr().out.rstrip().endswith("false")
+
+
+@pytest.mark.parametrize("mu", [[], ["--mu"]], ids=["plain", "mu"])
+def test_rewrite_trace_of_a_growing_term(tmp_path, capsys, mu):
+    # Each step adds a level, so the trace ends 2,000 levels deep: stepping,
+    # the seen-set and printing must all cope with that depth.
+    path = tmp_path / "grow.trs"
+    path.write_text("(VAR x)\n(SIG (0 0))\n(RULES\n  f(x) -> f(s(x))\n)\n")
+    argv = ["rewrite", str(path), "-t", "f(0)", "--max-steps", "2000", "--max-term-size", "5000"]
+    assert cli_main(argv + mu) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2001
+    assert lines[0] == "  f(0) ->"
+    assert lines[-1] == "  f(" + "s(" * 2000 + "0" + ")" * 2001

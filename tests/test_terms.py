@@ -315,3 +315,49 @@ def test_unpickled_term_hashes_with_its_own_process_seed():
         timeout=60,
     )
     assert out.stdout.decode().strip() == "True"
+
+
+@settings(max_examples=200)
+@given(terms_over(MIXED_SIG, var_names=("x", "y")), terms_over(MIXED_SIG, var_names=()))
+def test_symbols_built_apart_compare_and_match_by_value(pattern, ground):
+    # Separately parsed systems hold distinct but equal symbol objects, so
+    # identity may only ever be a shortcut for value equality.
+    subject = apply_subst(pattern, {"x": ground, "y": _rebuilt(ground)})
+    sigma = match(pattern, subject)
+    assert sigma is not None
+    assert match(_rebuilt(pattern), subject) == sigma
+    assert match(pattern, _rebuilt(subject)) == sigma
+    for sym in fun_syms(subject):
+        twin = FunSym(sym.name, sym.arity, sym.origin)
+        assert twin is not sym and twin == sym and not twin != sym
+        assert hash(twin) == hash(sym)
+        assert FunSym(sym.name, sym.arity + 1, sym.origin) != sym
+        assert FunSym(sym.name + "'", sym.arity, sym.origin) != sym
+        assert FunSym(sym.name, sym.arity, ("r9", 9)) != sym
+
+
+def _reference_str(t, infix):
+    if isinstance(t, Var):
+        return t.name
+    args = [_reference_str(a, infix) for a in t.args]
+    if infix and len(args) == 2 and not t.sym.name[0].isalnum() and not t.sym.is_usymbol:
+        return f"({args[0]} {t.sym.name} {args[1]})"
+    return t.sym.name + (f"({','.join(args)})" if args else "")
+
+
+INFIX_SIG = MIXED_SIG + (LT, CONS, NIL, FunSym("k", 3))
+
+
+@settings(max_examples=200)
+@given(terms_over(INFIX_SIG))
+def test_rendering_equals_the_recursive_definition(t):
+    assert term_to_str(t) == _reference_str(t, infix=False)
+    assert ck.pretty(t) == _reference_str(t, infix=True)
+
+
+def test_deep_terms_render():
+    t = zero
+    for _ in range(20_000):
+        t = cons(s(t), nil)
+    assert term_to_str(t) == ":(s(" * 20_000 + "0" + "),nil)" * 20_000
+    assert ck.pretty(t) == "(s(" * 20_000 + "0" + ") : nil)" * 20_000
