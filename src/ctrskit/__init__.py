@@ -75,7 +75,6 @@ from .terms import (
     Var,
     active_positions,
     apply_subst,
-    app,
     format_position,
     fun_syms,
     is_original,

@@ -133,19 +133,12 @@ def check_commutation(s: Term, t: Term, u: Term, system: Csrs) -> Term:
     lifted = p + inner.position
     if lifted not in actives:
         raise AssertionError("lifted rewrite position is not active in the outer term")
-    if v != replace_at(s, lifted, apply_subst_rhs(system, inner)):
+    rule = next(r for r in system.rules if r.id == inner.rule_id)
+    if v != replace_at(s, lifted, apply_subst(rule.rhs, inner.subst)):
         raise AssertionError("commuting term disagrees with the lifted step")
     if u not in mu_proper_subterms(v, mu):
         raise AssertionError("rewritten subterm is not active in the commuting term")
     return v
-
-
-def apply_subst_rhs(system: Csrs, step: ReductionStep) -> Term:
-    """Instantiate the right-hand side of the step's rule by its binding."""
-    for rule in system.rules:
-        if rule.id == step.rule_id:
-            return apply_subst(rule.rhs, step.subst)
-    raise KeyError(step.rule_id)
 
 
 # ---------------------------------------------------------------------------

@@ -212,9 +212,13 @@ KIND_MU = "mu"
 KIND_PLAIN = "plain"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ReductionStep:
-    """One rewrite step, kept as a checkable certificate."""
+    """One rewrite step, kept as a checkable certificate.
+
+    Equality compares every field, the substitution, kind and level
+    included.  Steps are unhashable, because the substitution is a dict.
+    """
 
     source: Term
     target: Term
@@ -234,19 +238,6 @@ class ReductionStep:
             redex == apply_subst(lhs, self.subst)
             and self.target == replace_at(self.source, self.position, apply_subst(rhs, self.subst))
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReductionStep):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.position == other.position
-            and self.rule_id == other.rule_id
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.position, self.rule_id))
 
     def __str__(self) -> str:
         from .terms import format_position

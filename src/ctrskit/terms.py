@@ -2,18 +2,23 @@
 rest of the toolkit is built on: positions, substitutions, matching, and
 replacement-map-aware (active-position) traversal.
 
-Terms are immutable values with structural equality, so they can be shared
-freely, used as dict keys, and compared for loop detection.  An application
-computes its hash, its size and whether it is original (free of unraveling
-symbols) once, at construction, from the same attributes of its arguments:
-dict and set lookups and size checks never walk the term again.  Function
-symbols cache their hash as well and compare by value; since a parsed system
-shares its symbol objects, every symbol comparison tests identity first.
+Applications are hash-consed: a weak table maps each symbol and argument
+tuple to the one live application built from them, so equal terms are the
+same object.  Equality and hashing are by identity, which makes dict and set
+lookups (loop detection, the engines' caches) cost no walk of the term; the
+table holds its entries weakly, so terms nobody references are freed.  An
+application computes its size and whether it is original (free of
+unraveling symbols) once, at construction, from the same attributes of its
+arguments.  Variables and function symbols compare by value; symbols cache
+their hash, and since a parsed system shares its symbol objects, every
+symbol comparison tests identity first.
 Positions are 1-indexed integer tuples; the empty tuple is the root.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
@@ -87,69 +92,77 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class App:
     """An application ``sym(args...)``; arity is checked on construction.
 
-    Equality is structural; the hash, the node count and the original flag
-    are computed once, from the arguments' cached values, and never compared.
+    Applications are interned: constructing one that equals a live
+    application returns that object, so equality and hashing are by
+    identity.  The node count and the original flag are computed once, from
+    the arguments' cached values.  Nodes are immutable.
     """
 
+    __slots__ = ("sym", "args", "_size", "_original", "__weakref__")
     sym: FunSym
-    args: tuple["Term", ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
-    _size: int = field(init=False, repr=False, compare=False)
-    _original: bool = field(init=False, repr=False, compare=False)
+    args: tuple["Term", ...]
 
-    def __post_init__(self) -> None:
-        sym, args = self.sym, self.args
-        if len(args) != sym.arity:
-            raise ValueError(
-                f"{sym.name} has arity {sym.arity}, got {len(args)} arguments"
-            )
-        size, original = 1, sym.origin is None
-        for arg in args:
-            if arg.__class__ is App:
-                size += arg._size
-                original = original and arg._original
-            else:
-                size += 1
-        object.__setattr__(self, "_hash", hash((sym, args)))
-        object.__setattr__(self, "_size", size)
-        object.__setattr__(self, "_original", original)
+    def __new__(cls, sym: FunSym, args: tuple["Term", ...] = ()) -> "App":
+        key = (sym, args)
+        node = _interned.get(key)
+        if node is not None:
+            return node
+        # Lookup, build and register must be one step: two equal but distinct
+        # nodes would break non-linear matching and loop detection.
+        with _intern_lock:
+            node = _interned.get(key)
+            if node is not None:
+                return node
+            if len(args) != sym.arity:
+                raise ValueError(
+                    f"{sym.name} has arity {sym.arity}, got {len(args)} arguments"
+                )
+            size, original = 1, sym.origin is None
+            for arg in args:
+                if arg.__class__ is App:
+                    size += arg._size
+                    original = original and arg._original
+                else:
+                    size += 1
+            node = object.__new__(cls)
+            object.__setattr__(node, "sym", sym)
+            object.__setattr__(node, "args", args)
+            object.__setattr__(node, "_size", size)
+            object.__setattr__(node, "_original", original)
+            _interned[key] = node
+            return node
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"App is immutable; cannot set {name!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not App:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and (self.sym is other.sym or self.sym == other.sym)
-            and self.args == other.args
-        )
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"App is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        # Rebuild from the fields: a cached hash of one process is not valid
-        # in another with a different hash seed.
+        # Rebuild through the constructor, so that unpickled and copied terms
+        # are interned in the receiving process.
         return App, (self.sym, self.args)
+
+    def __repr__(self) -> str:
+        return f"App(sym={self.sym!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         return term_to_str(self)
 
+
+# The intern table: (symbol, arguments) -> the live application built from
+# them.  Entries vanish with their application.
+_interned: "weakref.WeakValueDictionary[tuple, App]" = weakref.WeakValueDictionary()
+_intern_lock = threading.Lock()
 
 Term = Union[Var, App]
 
 # A substitution is a finite map from variable names to terms; application
 # is simultaneous and capture-free (first-order terms have no binders).
 Subst = Mapping[str, Term]
-
-
-def app(sym: FunSym, *args: Term) -> App:
-    return App(sym, tuple(args))
 
 
 def term_size(t: Term) -> int:

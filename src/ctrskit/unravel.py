@@ -15,7 +15,7 @@ leaving all argument positions of original symbols active.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .ctrs import ConditionalRule, Dctrs
 from .terms import (
@@ -102,9 +102,6 @@ def standard_mu_shape_problems(csrs: Csrs) -> list[str]:
     return problems
 
 
-Namer = Callable[[str, int, int], FunSym]
-
-
 def default_u_symbol(rule_id: str, index: int, arity: int) -> FunSym:
     """The documented naming scheme for fresh symbols: ``U<i>_<rule id>``."""
     return FunSym(f"U{index}_{rule_id}", arity, origin=(rule_id, index))
@@ -122,7 +119,7 @@ def evar_sequence(rule: ConditionalRule, i: int) -> list[str]:
     return [v for v in vars_of(rule.conditions[i - 1][1]) if v not in bound]
 
 
-def unravel_rule(rule: ConditionalRule, namer: Namer = default_u_symbol) -> list[Rule]:
+def unravel_rule(rule: ConditionalRule) -> list[Rule]:
     """The n+1 unconditional rules encoding an n-condition rule (n > 0);
     unconditional rules pass through untouched."""
     n = len(rule.conditions)
@@ -140,7 +137,7 @@ def unravel_rule(rule: ConditionalRule, namer: Namer = default_u_symbol) -> list
             names.extend(extra_vars[j])
         return [Var(v) for v in names]
 
-    u_syms = [namer(rule.id, i, 1 + len(carried(i))) for i in range(1, n + 1)]
+    u_syms = [default_u_symbol(rule.id, i, 1 + len(carried(i))) for i in range(1, n + 1)]
 
     out: list[Rule] = []
     s1 = rule.conditions[0][0]
@@ -162,18 +159,18 @@ def unravel_rule(rule: ConditionalRule, namer: Namer = default_u_symbol) -> list
     return out
 
 
-def unravel(system: Dctrs, namer: Namer = default_u_symbol) -> Trs:
+def unravel(system: Dctrs) -> Trs:
     """Replace every conditional rule by its unraveled rules, in place."""
     rules: list[Rule] = []
     for rule in system.rules:
-        rules.extend(unravel_rule(rule, namer))
+        rules.extend(unravel_rule(rule))
     return Trs.of(rules, extra_symbols=system.signature)
 
 
-def unravel_cs(system: Dctrs, namer: Namer = default_u_symbol) -> Csrs:
+def unravel_cs(system: Dctrs) -> Csrs:
     """The unraveled system with the canonical replacement map: original
     symbols fully active, fresh symbols active only in argument 1."""
-    trs = unravel(system, namer)
+    trs = unravel(system)
     entries = {
         sym: (frozenset({1}) if sym.is_usymbol else frozenset(range(1, sym.arity + 1)))
         for sym in trs.signature

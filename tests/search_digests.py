@@ -61,7 +61,7 @@ def _corpus(name: str) -> ck.Dctrs:
 
 
 def _step(step) -> dict:
-    """Every field of a step, including those ``ReductionStep.__eq__`` skips."""
+    """Every field of a step, as text that does not depend on the process."""
     return {
         "source": term_to_str(step.source),
         "target": term_to_str(step.target),

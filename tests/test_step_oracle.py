@@ -110,7 +110,7 @@ def reference_engine(system, fuel):
 
 
 def full(steps):
-    """Every field of every step: ``ReductionStep.__eq__`` ignores some."""
+    """Every field of every step, as tuples, so that a mismatch names the field."""
     return [
         (s.source, s.target, s.position, s.rule_id, dict(s.subst), s.kind, s.level)
         for s in steps

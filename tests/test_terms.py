@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +294,63 @@ def test_pickle_and_deepcopy_round_trips(t):
         assert hash(twin) == hash(t)
         assert term_size(twin) == term_size(t)
         assert is_original(twin) == is_original(t)
+
+
+# -- interning ----------------------------------------------------------------
+
+
+@settings(max_examples=200)
+@given(terms_over(MIXED_SIG).filter(lambda t: isinstance(t, App)))
+def test_terms_built_apart_are_the_same_object(t):
+    assert _rebuilt(t) is t
+    for p in positions(t):
+        assert replace_at(t, p, subterm_at(t, p)) is t
+
+
+def test_applications_are_immutable():
+    t = s(zero)
+    with pytest.raises(AttributeError):
+        t.sym = ZERO
+    with pytest.raises(AttributeError):
+        t.args = ()
+    with pytest.raises(AttributeError):
+        del t.args
+    assert t.sym is S and t.args == (zero,)
+
+
+def test_threads_building_equal_terms_get_one_object():
+    # Symbols no other test uses, so that every node is new to the table and
+    # the threads race on its first construction.
+    a, g, h = FunSym("race_a", 0), FunSym("race_g", 1), FunSym("race_h", 1)
+    f = FunSym("race_f", 2)
+    slots, threads = 3000, 4
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+
+    def slot_term(i):
+        t = App(a)
+        for bit in format(i, "b"):
+            t = App(g if bit == "1" else h, (t,))
+        return App(f, (t, t))
+
+    def build(k):
+        barrier.wait(timeout=60)
+        results[k] = [slot_term(i) for i in range(slots)]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(k,)) for k in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(w.is_alive() for w in workers)
+    assert all(r is not None and len(r) == slots for r in results)
+    for i in range(slots):
+        assert all(r[i] is results[0][i] for r in results[1:])
 
 
 def test_unpickled_term_hashes_with_its_own_process_seed():
