@@ -84,6 +84,7 @@ from .terms import (
     pretty,
     replace_at,
     subterm_at,
+    subterms,
     term_size,
     term_to_str,
     vars_of,

@@ -28,6 +28,7 @@ cycle finder ``dfs`` (the well-foundedness obligation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .ctrs import (
@@ -55,6 +56,7 @@ from .terms import (
     mu_proper_subterms,
     replace_at,
     subterm_at,
+    subterms,
     term_size,
     term_to_str,
 )
@@ -193,11 +195,7 @@ class ProofAlarm(Exception):
 
 
 def prove_quasi_decreasing(
-    system: Dctrs,
-    fuel: Fuel = DEFAULT_FUEL,
-    seeds: Optional[Sequence[Term]] = None,
-    seed_size: int = 4,
-    precedence_cap: int = 10,
+    system: Dctrs, fuel: Fuel = DEFAULT_FUEL, seed_size: int = 4
 ) -> ProofOutcome:
     """Sound YES/NO/MAYBE verdict on quasi-decreasingness.
 
@@ -206,6 +204,8 @@ def prove_quasi_decreasing(
     cannot loop either, in particular not from original terms, which is
     equivalent to quasi-decreasingness.  NO: an active-position loop from an
     original term refutes that same property.  Everything else is MAYBE.
+    The loop search starts from every original ground term of at most
+    ``seed_size`` nodes.
 
     Both methods always run and ``methods`` records each one's answer.  A
     disagreement, a precedence that fails re-validation, or a loop from a
@@ -216,7 +216,7 @@ def prove_quasi_decreasing(
     unraveled = unravel(system)
     precedence: Optional[Precedence] = None
     try:
-        precedence = search_precedence(unraveled, precedence_cap)
+        precedence = search_precedence(unraveled)
     except SignatureTooLargeError as err:
         diagnostics.append(str(err))
         methods["lpo-note"] = str(err)
@@ -224,9 +224,8 @@ def prove_quasi_decreasing(
     if precedence is None:
         diagnostics.append("exhaustive precedence search cannot orient the unraveled system")
 
-    if seeds is None:
-        seeds = enumerate_original_terms(system.signature, seed_size)
-        diagnostics.append(f"enumerated {len(seeds)} ground seed terms up to size {seed_size}")
+    seeds = enumerate_original_terms(system.signature, seed_size)
+    diagnostics.append(f"enumerated {len(seeds)} ground seed terms up to size {seed_size}")
     loops = mu_terminating_on_seeds(seeds, unravel_cs(system), fuel)
     methods["loop-search"] = "NO" if loops.is_loop else "MAYBE"
     if not loops.is_loop:
@@ -301,6 +300,15 @@ class WitnessOrderReport:
         return self.obligations[number - 1]
 
 
+# Sampling caps of validate_witness_order; its docstring says what each bounds.
+MAX_GRAPH_EXPANSIONS = 500_000
+MAX_SOURCES = 4000
+MAX_PAIRS = 20000
+MAX_STEPS_PER_SOURCE = 8
+MAX_SOLUTIONS_PER_CONDITION = 3
+MAX_RULE_INSTANCES = 400
+
+
 def _itself(t: Term) -> Term:
     return t
 
@@ -324,40 +332,28 @@ def _combined_graph(
         succ[t] = [u for u in out if u is not None]
         return out
 
-    cap = min(500_000, fuel.max_steps * max(1, len(seeds)))
+    cap = min(MAX_GRAPH_EXPANSIONS, fuel.max_steps * max(1, len(seeds)))
     search = bfs(seeds, successors, expansion_budget(cap), target=_itself)
     return list(search.reached), succ, search.exhausted
 
 
-def _proper_subterms(t: Term) -> list[Term]:
-    out: list[Term] = []
-
-    def walk(node: Term, root: bool) -> None:
-        if not root:
-            out.append(node)
-        if isinstance(node, App):
-            for arg in node.args:
-                walk(arg, False)
-
-    walk(t, True)
-    return out
-
-
 def validate_witness_order(
-    system: Dctrs,
-    seeds: Sequence[Term],
-    fuel: Fuel = DEFAULT_FUEL,
-    *,
-    max_sources: int = 4000,
-    max_pairs: int = 20000,
-    max_steps_per_source: int = 8,
-    max_rule_instances: int = 400,
+    system: Dctrs, seeds: Sequence[Term], fuel: Fuel = DEFAULT_FUEL
 ) -> WitnessOrderReport:
     """Sample the candidate well-founded order on a fragment reachable from
     the seeds and check the four quasi-decreasingness obligations.
 
     The sampled order relates original terms connected by a nonempty path of
-    rewrite steps and active-subterm steps in the unraveled system.
+    rewrite steps and active-subterm steps in the unraveled system.  Six
+    module constants cap the sample: ``MAX_GRAPH_EXPANSIONS`` (expansions of
+    the combined graph, also held to ``fuel.max_steps`` per seed),
+    ``MAX_SOURCES`` (original terms used as sources), ``MAX_PAIRS`` (pairs
+    sampled for obligation 2), ``MAX_STEPS_PER_SOURCE`` (steps simulated per
+    source for obligation 3), and for obligation 4 ``MAX_RULE_INSTANCES``
+    (left-hand-side instances per conditional rule) and
+    ``MAX_SOLUTIONS_PER_CONDITION`` (condition solutions tried per instance
+    and condition).  The first marks the report incomplete and the second
+    leaves a note; the other four cut the sample without a trace.
     """
     for seed in seeds:
         if not is_original(seed):
@@ -370,11 +366,11 @@ def validate_witness_order(
 
     nodes, succ, incomplete = _combined_graph(seeds, cs, fuel, mu_engine)
     original_nodes = [t for t in nodes if is_original(t)]
-    if len(original_nodes) > max_sources:
+    if len(original_nodes) > MAX_SOURCES:
         notes.append(
-            f"sampling capped at {max_sources} of {len(original_nodes)} original terms"
+            f"sampling capped at {MAX_SOURCES} of {len(original_nodes)} original terms"
         )
-        original_nodes = original_nodes[:max_sources]
+        original_nodes = original_nodes[:MAX_SOURCES]
 
     # Obligation 1: the sampled relation is acyclic (bounded stand-in for
     # well-foundedness).
@@ -394,17 +390,17 @@ def validate_witness_order(
         reach[source] = bfs(
             succ.get(source, ()), lambda t: succ.get(t, ()), lambda: True, target=_itself
         ).reached
-        if len(sampled_pairs) < max_pairs:
+        if len(sampled_pairs) < MAX_PAIRS:
             for target in reach[source]:
                 if is_original(target):
                     sampled_pairs.append((source, target))
-                    if len(sampled_pairs) >= max_pairs:
+                    if len(sampled_pairs) >= MAX_PAIRS:
                         break
 
     # Obligation 2: closure under plain proper subterms on the original side.
     ob2 = ObligationResult(2, "closed under proper subterms", True, 0)
     for source, target in sampled_pairs:
-        for sub in _proper_subterms(target):
+        for sub in islice(subterms(target), 1, None):
             ob2.checked += 1
             if sub not in reach[source]:
                 ob2.passed = False
@@ -422,7 +418,7 @@ def validate_witness_order(
     for source in original_nodes:
         steps, exhausted = cond_engine.all_steps(source)
         incomplete = incomplete or exhausted
-        for step in steps[:max_steps_per_source]:
+        for step in steps[:MAX_STEPS_PER_SOURCE]:
             ob3.checked += 1
             try:
                 result = check_simulation(step, cs, fuel, engine=mu_engine)
@@ -445,7 +441,7 @@ def validate_witness_order(
         generated = unravel_rule(rule)
         instances = 0
         for source in original_nodes:
-            if instances >= max_rule_instances:
+            if instances >= MAX_RULE_INSTANCES:
                 break
             sigma0 = match(rule.lhs, source)
             if sigma0 is None:
@@ -453,8 +449,8 @@ def validate_witness_order(
             for i in range(len(rule.conditions)):
                 solutions, exhausted = cond_engine.condition_solutions(rule, sigma0, i)
                 incomplete = incomplete or exhausted
-                for sigma in solutions[:3]:
-                    if instances >= max_rule_instances:
+                for sigma in solutions[:MAX_SOLUTIONS_PER_CONDITION]:
+                    if instances >= MAX_RULE_INSTANCES:
                         break
                     verified = True
                     for s_j, t_j in rule.conditions[:i]:

@@ -20,7 +20,7 @@ from .checker import (
     validate_witness_order,
 )
 from .csrewrite import MuEngine, enumerate_original_terms, explore
-from .ctrs import ConditionalEngine, Dctrs, Fuel, validate_dctrs
+from .ctrs import ConditionalEngine, Dctrs, Fuel
 from .experiment import ExperimentConfig, load_config, run_experiment
 from .fmt import (
     ParseError,
@@ -41,7 +41,7 @@ from .report import (
     witness_report_dict,
 )
 from .terms import ReplacementMap, term_to_str
-from .unravel import Csrs, Trs, unravel, unravel_cs
+from .unravel import Csrs, unravel, unravel_cs
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -103,23 +103,16 @@ def _as_csrs(problem) -> Csrs:
     )
 
 
-def _successor_fn(problem, fuel: Fuel, use_mu: bool):
-    system = problem.system
-    if use_mu or isinstance(system, Csrs):
-        engine = MuEngine(_as_csrs(problem))
-        return engine.steps
-    if isinstance(system, Dctrs):
-        engine = ConditionalEngine(system, fuel)
-        return lambda t: engine.all_steps(t).steps
-    return MuEngine(system).steps
-
-
 def _cmd_rewrite(args: argparse.Namespace) -> int:
     problem = _load_problem(args.file)
     term = parse_term(args.term, problem)
     fuel = _fuel_from(args)
-    use_mu = args.mu or isinstance(problem.system, Csrs)
-    succ = _successor_fn(problem, fuel, use_mu)
+    if isinstance(problem.system, Dctrs) and not args.mu:
+        engine = ConditionalEngine(problem.system, fuel)
+        succ = lambda t: engine.all_steps(t).steps
+    else:
+        # Plain TRS inputs rewrite under the full replacement map.
+        succ = MuEngine(_as_csrs(problem)).steps
 
     if args.successors:
         steps = list(succ(term))
@@ -184,9 +177,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     system = parse_ctrs(Path(args.file).read_text(), args.file)
     fuel = _fuel_from(args)
     try:
-        outcome = prove_quasi_decreasing(
-            system, fuel, seed_size=args.seeds_size, precedence_cap=args.precedence_cap
-        )
+        outcome = prove_quasi_decreasing(system, fuel, seed_size=args.seeds_size)
     except ProofAlarm as alarm:
         print(f"ALARM: {alarm} (methods: {alarm.methods})", file=sys.stderr)
         return EXIT_INTERNAL
@@ -280,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="prove or refute quasi-decreasingness")
     p.add_argument("file")
     p.add_argument("--seeds-size", type=int, default=4)
-    p.add_argument("--precedence-cap", type=int, default=10)
     p.add_argument("--json", default=None)
     _add_fuel_flags(p)
     p.set_defaults(func=_cmd_prove)
@@ -310,10 +300,7 @@ def cli_main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_YES
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FileNotFoundError, IsADirectoryError, ValueError) as err:
+    except (ParseError, ValidationError, FileNotFoundError, IsADirectoryError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:

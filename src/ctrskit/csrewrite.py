@@ -15,6 +15,7 @@ they depend on the system alone, so the memo is never invalidated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Optional, Sequence, Union
 
 from .ctrs import (
@@ -228,13 +229,10 @@ def enumerate_original_terms(signature: Sequence[FunSym], max_size: int) -> list
             if budget < sym.arity:
                 continue
             for parts in _compositions(budget, sym.arity):
-                for args in _arg_product([by_size[p] for p in parts]):
+                for args in product(*(by_size[p] for p in parts)):
                     bucket.append(App(sym, args))
         by_size[size] = bucket
-    out: list[Term] = []
-    for size in range(1, max_size + 1):
-        out.extend(by_size[size])
-    return out
+    return [t for bucket in by_size for t in bucket]
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
@@ -245,12 +243,3 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _arg_product(pools: list[list[Term]]) -> Iterable[tuple[Term, ...]]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for tail in _arg_product(pools[1:]):
-            yield (head,) + tail

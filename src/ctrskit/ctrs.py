@@ -39,6 +39,7 @@ from .terms import (
     Term,
     Var,
     apply_subst,
+    format_position,
     fun_syms,
     match,
     replace_at,
@@ -240,8 +241,6 @@ class ReductionStep:
         )
 
     def __str__(self) -> str:
-        from .terms import format_position
-
         return (
             f"{term_to_str(self.source)} -> {term_to_str(self.target)} "
             f"[{self.rule_id} @ {format_position(self.position)}]"

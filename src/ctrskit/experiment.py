@@ -65,32 +65,58 @@ class ExperimentConfig:
     fuel: Fuel = DEFAULT_FUEL
     seed_size: int = 4
     workers: int = 1
-    precedence_cap: int = 10
     external_tools: list[ExternalTool] = field(default_factory=list)
+
+
+_FUEL_FIELDS = {"max_level": int, "max_steps": int, "max_term_size": int}
+_TOOL_FIELDS = {"name": str, "command": str, "transform": str, "timeout": (int, float)}
+
+
+def _fields(section: str, entry, types: dict, required: tuple = ()) -> dict:
+    """``entry`` checked to be an object with the ``required`` fields and no
+    fields outside ``types``, each of its listed type (booleans are not
+    numbers here)."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"config {section} must be a JSON object")
+    for key in (*entry, *required):
+        if key not in types:
+            raise ValueError(f"config {section}: unknown field {key!r}")
+        if key not in entry:
+            raise ValueError(f"config {section}: missing field {key!r}")
+        if isinstance(entry[key], bool) or not isinstance(entry[key], types[key]):
+            raise ValueError(f"config {section}: field {key!r} has the wrong type: {entry[key]!r}")
+    return entry
 
 
 def load_config(path: Optional[str] = None) -> ExperimentConfig:
     """Read a JSON config; falls back to the environment variable, then to
-    defaults.  Unknown keys are rejected to catch typos."""
+    defaults.  Unknown keys and ill-typed values raise ``ValueError``, which
+    names the offending section, to catch typos."""
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path is None:
         return ExperimentConfig()
     data = json.loads(Path(path).read_text())
-    known = {"fuel", "seed_size", "workers", "precedence_cap", "external_tools"}
-    unknown = set(data) - known
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = set(data) - {"fuel", "seed_size", "workers", "external_tools"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    fuel = DEFAULT_FUEL
-    if "fuel" in data:
-        fuel = Fuel(**data["fuel"])
-    tools = [ExternalTool(**entry) for entry in data.get("external_tools", [])]
+    for key in ("seed_size", "workers"):
+        value = data.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"config {key} must be a positive integer")
+    tools = data.get("external_tools", [])
+    if not isinstance(tools, list):
+        raise ValueError("config external_tools must be a JSON list")
     return ExperimentConfig(
-        fuel=fuel,
+        fuel=Fuel(**_fields("fuel", data.get("fuel", {}), _FUEL_FIELDS)),
         seed_size=data.get("seed_size", 4),
         workers=data.get("workers", 1),
-        precedence_cap=data.get("precedence_cap", 10),
-        external_tools=tools,
+        external_tools=[
+            ExternalTool(**_fields(f"external_tools[{i}]", entry, _TOOL_FIELDS, ("name", "command")))
+            for i, entry in enumerate(tools)
+        ],
     )
 
 
@@ -188,9 +214,7 @@ def _process_file(path: Path, config: ExperimentConfig) -> SystemRow:
     row.conditional_count = len(system.conditional_rules)
     row.unraveled_count = len(unravel(system).rules)
     try:
-        outcome = prove_quasi_decreasing(
-            system, config.fuel, seed_size=config.seed_size, precedence_cap=config.precedence_cap
-        )
+        outcome = prove_quasi_decreasing(system, config.fuel, seed_size=config.seed_size)
     except ProofAlarm as alarm:
         row.status = "alarm"
         row.error = str(alarm)

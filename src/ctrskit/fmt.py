@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .ctrs import ConditionalRule, Dctrs, Violation, validate_dctrs
-from .terms import App, FunSym, ReplacementMap, Term, Var, term_to_str, vars_of
+from .terms import App, FunSym, ReplacementMap, Term, Var, vars_of
 from .unravel import Csrs, Rule, Trs
 
 
@@ -59,64 +59,26 @@ class Token:
 
 _DELIMS = "(),|"
 _RESERVED = ("->", "==")
+# A reserved word, a delimiter, or a run of other non-space characters that
+# stops where a reserved word starts.
+_TOKEN = re.compile(r"->|==|[(),|]|(?:(?!->|==)[^\s(),|])+")
 
-# Nodes on the longest root-to-leaf path of a parsed term.  The parser and
-# the term traversals recurse per level, so deeper input gets a positioned
-# diagnostic instead of exhausting the interpreter stack.
+# Nodes on the longest root-to-leaf path of a parsed term.  Printing, the
+# ``subterms``, ``vars_of`` and ``fun_syms`` walks and the position sets take
+# any depth, but the parser, ``replace_at``, ``match``, ``apply_subst``, the
+# engines' step enumeration and the path orders recurse per level, so deeper
+# input gets a positioned diagnostic instead of exhausting the interpreter
+# stack.
 MAX_TERM_DEPTH = 256
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _DELIMS:
-            tokens.append(Token(ch, line, col))
-            col += 1
-            i += 1
-            continue
-        start, start_col = i, col
-        while i < n and not text[i].isspace() and text[i] not in _DELIMS:
-            i += 1
-            col += 1
-        word = text[start:i]
-        for part, offset in _split_reserved(word):
-            tokens.append(Token(part, line, start_col + offset))
-    return tokens
-
-
-def _split_reserved(word: str) -> list[tuple[str, int]]:
-    parts: list[tuple[str, int]] = []
-    buf_start = 0
-    j = 0
-    while j < len(word):
-        hit = next((r for r in _RESERVED if word.startswith(r, j)), None)
-        if hit is not None:
-            if buf_start < j:
-                parts.append((word[buf_start:j], buf_start))
-            parts.append((hit, j))
-            j += len(hit)
-            buf_start = j
-        else:
-            j += 1
-    if buf_start < len(word):
-        parts.append((word[buf_start:], buf_start))
-    return parts
-
-
-_RAW_RULE = tuple  # (lhs, rhs, conditions) over raw Terms
+    """Tokens with 1-based line and column; only ``\\n`` ends a line."""
+    return [
+        Token(m.group(), line, m.start() + 1)
+        for line, row in enumerate(text.split("\n"), start=1)
+        for m in _TOKEN.finditer(row)
+    ]
 
 
 @dataclass
@@ -160,8 +122,7 @@ class _Parser:
     def take(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("", 1, 1)
-            raise ParseError([Diagnostic(last.line, last.col, "unexpected end of input")])
+            raise self.fail("unexpected end of input")
         self.pos += 1
         return tok
 
@@ -357,8 +318,7 @@ def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
 
     condition_type = "ORIENTED"
     if sections["condition_type"] is not None:
-        tag, token = sections["condition_type"]
-        condition_type = tag
+        condition_type = sections["condition_type"][0]
     has_conditions = any(conds for (_, _, conds) in sections["rules"])
     if sections["strategy"] is not None:
         kind = "csrs"
@@ -369,16 +329,10 @@ def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
 
     if kind == "ctrs":
         if condition_type != "ORIENTED":
-            tag, token = sections["condition_type"]
-            raise ParseError(
-                [
-                    Diagnostic(
-                        token.line,
-                        token.col,
-                        f"unsupported condition type {tag}: only ORIENTED "
-                        "(reachability) conditions are handled",
-                    )
-                ]
+            raise parser.fail(
+                f"unsupported condition type {condition_type}: only ORIENTED "
+                "(reachability) conditions are handled",
+                sections["condition_type"][1],
             )
         rules = [
             ConditionalRule(f"r{i}", lhs, rhs, conds)
@@ -411,13 +365,9 @@ def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
     for sym_tok, indices in sections["strategy"]:
         sym = by_name.get(sym_tok.text)
         if sym is None:
-            raise ParseError(
-                [Diagnostic(sym_tok.line, sym_tok.col, f"strategy entry for unknown symbol {sym_tok.text!r}")]
-            )
+            raise parser.fail(f"strategy entry for unknown symbol {sym_tok.text!r}", sym_tok)
         if any(not 1 <= i <= sym.arity for i in indices):
-            raise ParseError(
-                [Diagnostic(sym_tok.line, sym_tok.col, f"strategy indices out of range for {sym.name}/{sym.arity}")]
-            )
+            raise parser.fail(f"strategy indices out of range for {sym.name}/{sym.arity}", sym_tok)
         entries[sym] = frozenset(indices)
     csrs = Csrs(trs.signature, trs.rules, ReplacementMap(entries))
     return ProblemFile(path, "csrs", condition_type, sections["vars"], csrs)
@@ -465,64 +415,35 @@ def parse_term(text: str, problem: ProblemFile) -> Term:
 # Printers
 
 
-def _format_rule(lhs: Term, rhs: Term, conditions: Sequence[tuple[Term, Term]] = ()) -> str:
-    head = f"{term_to_str(lhs)} -> {term_to_str(rhs)}"
-    if not conditions:
-        return head
-    conds = ", ".join(f"{term_to_str(s)} == {term_to_str(t)}" for s, t in conditions)
-    return f"{head} | {conds}"
-
-
-def _var_block(rules_vars: list[str]) -> str:
-    return f"(VAR {' '.join(rules_vars)})" if rules_vars else "(VAR)"
-
-
-def _sig_block(signature: Sequence[FunSym]) -> str:
-    entries = " ".join(f"({s.name} {s.arity})" for s in signature)
-    return f"(SIG {entries})" if entries else "(SIG)"
+def _sections(signature: Sequence[FunSym], rules: Sequence) -> list[str]:
+    """The VAR, SIG and RULES sections every printer emits."""
+    terms: list[Term] = []
+    for rule in rules:
+        terms += [rule.lhs, rule.rhs]
+        for s, t in getattr(rule, "conditions", ()):
+            terms += [s, t]
+    return [
+        " ".join(["(VAR", *vars_of(terms)]) + ")",
+        " ".join(["(SIG", *(f"({s.name} {s.arity})" for s in signature)]) + ")",
+        "(RULES",
+        *(f"  {rule}" for rule in rules),
+        ")",
+    ]
 
 
 def print_ctrs(system: Dctrs) -> str:
-    seen: dict[str, None] = {}
-    for rule in system.rules:
-        objects = [rule.lhs, rule.rhs]
-        for s, t in rule.conditions:
-            objects += [s, t]
-        for v in vars_of(objects):
-            seen.setdefault(v, None)
-    lines = []
-    if any(r.is_conditional for r in system.rules):
-        lines.append("(CONDITIONTYPE ORIENTED)")
-    lines.append(_var_block(list(seen)))
-    lines.append(_sig_block(system.signature))
-    lines.append("(RULES")
-    for rule in system.rules:
-        lines.append(f"  {_format_rule(rule.lhs, rule.rhs, rule.conditions)}")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
-def _print_unconditional(signature: Sequence[FunSym], rules: Sequence[Rule]) -> list[str]:
-    seen: dict[str, None] = {}
-    for rule in rules:
-        for v in vars_of([rule.lhs, rule.rhs]):
-            seen.setdefault(v, None)
-    lines = [_var_block(list(seen)), _sig_block(signature), "(RULES"]
-    for rule in rules:
-        lines.append(f"  {_format_rule(rule.lhs, rule.rhs)}")
-    lines.append(")")
-    return lines
+    head = ["(CONDITIONTYPE ORIENTED)"] if any(r.is_conditional for r in system.rules) else []
+    return "\n".join(head + _sections(system.signature, system.rules)) + "\n"
 
 
 def print_trs(system: Trs) -> str:
-    return "\n".join(_print_unconditional(system.signature, system.rules)) + "\n"
+    return "\n".join(_sections(system.signature, system.rules)) + "\n"
 
 
 def print_csrs(system: Csrs) -> str:
-    lines = _print_unconditional(system.signature, system.rules)
     entries = []
     for sym in system.signature:
         indices = " ".join(str(i) for i in sorted(system.mu.active_indices(sym)))
         entries.append(f"({sym.name} {indices})" if indices else f"({sym.name})")
-    lines.append(f"(STRATEGY CONTEXTSENSITIVE {' '.join(entries)})")
-    return "\n".join(lines) + "\n"
+    strategy = f"(STRATEGY CONTEXTSENSITIVE {' '.join(entries)})"
+    return "\n".join(_sections(system.signature, system.rules) + [strategy]) + "\n"

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .terms import App, FunSym, Term, Var, vars_of
+from .terms import FunSym, Term, Var, subterms, vars_of
 from .unravel import Trs
 
 
@@ -176,13 +176,6 @@ def _orientable(
     )
 
 
-def _subterms(t: Term):
-    yield t
-    if isinstance(t, App):
-        for arg in t.args:
-            yield from _subterms(arg)
-
-
 def search_precedence(system: Trs, max_signature: int = 10) -> Optional[Precedence]:
     """The lexicographically first precedence orienting every rule
     left-to-right, or None when no precedence does.
@@ -200,7 +193,7 @@ def search_precedence(system: Trs, max_signature: int = 10) -> Optional[Preceden
             "delegate to an external prover"
         )
     pairs = [(r.lhs, r.rhs) for r in system.rules]
-    varsets = {u: frozenset(vars_of(u)) for lhs, _ in pairs for u in _subterms(lhs)}
+    varsets = {u: frozenset(vars_of(u)) for lhs, _ in pairs for u in subterms(lhs)}
     above: frozenset[Atom] = frozenset()
     if not _orientable(pairs, above, varsets):
         return None

@@ -8,6 +8,7 @@ text renderings.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Optional
 
 from .checker import (
@@ -19,17 +20,13 @@ from .checker import (
 )
 from .csrewrite import MuVerdict, ReductionGraph
 from .ctrs import Fuel, Reduction, ReductionStep
-from .terms import format_position, term_to_str
+from .terms import format_position, is_original, term_to_str
 
 FORMAT_VERSION = 1
 
 
 def fuel_dict(fuel: Fuel) -> dict:
-    return {
-        "max_level": fuel.max_level,
-        "max_steps": fuel.max_steps,
-        "max_term_size": fuel.max_term_size,
-    }
+    return asdict(fuel)
 
 
 def step_dict(step: ReductionStep) -> dict:
@@ -124,8 +121,6 @@ def witness_report_dict(report: WitnessOrderReport) -> dict:
 
 
 def graph_dict(graph: ReductionGraph, verdict: Optional[MuVerdict] = None) -> dict:
-    from .terms import is_original
-
     index = {t: i for i, t in enumerate(graph.nodes)}
     out = {
         "format_version": FORMAT_VERSION,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 Position = tuple[int, ...]
 
@@ -212,18 +212,22 @@ def format_position(p: Position) -> str:
     return "e" if not p else ".".join(str(i) for i in p)
 
 
+def _positions(t: Term, indices: Callable[[FunSym], Iterable[int]]) -> set[Position]:
+    """The positions reached from the root by descending through the
+    argument indices ``indices(sym)`` names at each application."""
+    out: set[Position] = set()
+    todo = [(t, ROOT)]
+    while todo:
+        node, here = todo.pop()
+        out.add(here)
+        if node.__class__ is App and node.args:  # constants need no entry
+            todo += [(node.args[i - 1], here + (i,)) for i in indices(node.sym)]
+    return out
+
+
 def positions(t: Term) -> set[Position]:
     """All valid positions of ``t``, including the root."""
-    out: set[Position] = set()
-
-    def walk(node: Term, here: Position) -> None:
-        out.add(here)
-        if isinstance(node, App):
-            for i, arg in enumerate(node.args, start=1):
-                walk(arg, here + (i,))
-
-    walk(t, ROOT)
-    return out
+    return _positions(t, lambda sym: range(1, sym.arity + 1))
 
 
 def subterm_at(t: Term, p: Position) -> Term:
@@ -251,6 +255,18 @@ def replace_at(t: Term, p: Position, u: Term) -> Term:
     return App(t.sym, new_args)
 
 
+def subterms(t: Term) -> Iterator[Term]:
+    """Every subterm of ``t`` in left-to-right preorder, ``t`` first; a
+    subterm that occurs at several positions is yielded at each.  The walk
+    keeps an explicit stack, so terms of any depth can be walked."""
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        yield node
+        if node.__class__ is App:
+            todo += reversed(node.args)
+
+
 def vars_of(objects: Union[Term, Iterable[Term]]) -> list[str]:
     """Variable names in first-occurrence order of a left-to-right,
     depth-first traversal, duplicates suppressed.
@@ -260,18 +276,11 @@ def vars_of(objects: Union[Term, Iterable[Term]]) -> list[str]:
     """
     if isinstance(objects, (Var, App)):
         objects = [objects]
-    seen: dict[str, None] = {}
-
-    def walk(node: Term) -> None:
-        if isinstance(node, Var):
-            seen.setdefault(node.name, None)
-        else:
-            for arg in node.args:
-                walk(arg)
-
-    for obj in objects:
-        walk(obj)
-    return list(seen)
+    return list(
+        dict.fromkeys(
+            node.name for obj in objects for node in subterms(obj) if node.__class__ is Var
+        )
+    )
 
 
 def match(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
@@ -334,16 +343,7 @@ class ReplacementMap:
 def active_positions(t: Term, mu: ReplacementMap) -> set[Position]:
     """The positions reachable by descending only through active argument
     indices; the root is always active."""
-    out: set[Position] = set()
-
-    def walk(node: Term, here: Position) -> None:
-        out.add(here)
-        if isinstance(node, App) and node.args:
-            for i in mu.active_indices(node.sym):
-                walk(node.args[i - 1], here + (i,))
-
-    walk(t, ROOT)
-    return out
+    return _positions(t, mu.active_indices)
 
 
 def mu_proper_subterms(t: Term, mu: ReplacementMap) -> set[Term]:
@@ -358,13 +358,4 @@ def is_original(t: Term) -> bool:
 
 def fun_syms(t: Term) -> set[FunSym]:
     """The function symbols occurring in ``t``."""
-    out: set[FunSym] = set()
-
-    def walk(node: Term) -> None:
-        if isinstance(node, App):
-            out.add(node.sym)
-            for arg in node.args:
-                walk(arg)
-
-    walk(t)
-    return out
+    return {node.sym for node in subterms(t) if node.__class__ is App}

@@ -24,6 +24,7 @@ from .terms import (
     ReplacementMap,
     Term,
     Var,
+    fun_syms,
     term_to_str,
     vars_of,
 )
@@ -49,8 +50,6 @@ class Rule:
 
 
 def _signature_of(rules: Sequence[Rule], extra: Sequence[FunSym]) -> tuple[FunSym, ...]:
-    from .terms import fun_syms
-
     symbols: set[FunSym] = set(extra)
     for rule in rules:
         symbols |= fun_syms(rule.lhs) | fun_syms(rule.rhs)
@@ -77,24 +76,19 @@ class Csrs:
     rules: tuple[Rule, ...]
     mu: ReplacementMap
 
-    @classmethod
-    def of(
-        cls, rules: Sequence[Rule], mu: ReplacementMap, extra_symbols: Sequence[FunSym] = ()
-    ) -> "Csrs":
-        return cls(_signature_of(rules, extra_symbols), tuple(rules), mu)
 
-    @property
-    def trs(self) -> Trs:
-        return Trs(self.signature, self.rules)
+def _canonical_active(sym: FunSym) -> frozenset[int]:
+    """The canonical replacement map's entry: every argument of an original
+    symbol, only the first of an unraveling symbol."""
+    return frozenset({1}) if sym.is_usymbol else frozenset(range(1, sym.arity + 1))
 
 
 def standard_mu_shape_problems(csrs: Csrs) -> list[str]:
-    """Deviations from the canonical shape: all argument positions active on
-    original symbols, only the first active on unraveling symbols."""
+    """Deviations from the canonical replacement map."""
     problems = []
     for sym in csrs.signature:
         actual = csrs.mu.active_indices(sym)
-        expected = frozenset({1}) if sym.is_usymbol else frozenset(range(1, sym.arity + 1))
+        expected = _canonical_active(sym)
         if actual != expected:
             problems.append(
                 f"{sym.name}/{sym.arity}: mu is {sorted(actual)}, expected {sorted(expected)}"
@@ -171,8 +165,5 @@ def unravel_cs(system: Dctrs) -> Csrs:
     """The unraveled system with the canonical replacement map: original
     symbols fully active, fresh symbols active only in argument 1."""
     trs = unravel(system)
-    entries = {
-        sym: (frozenset({1}) if sym.is_usymbol else frozenset(range(1, sym.arity + 1)))
-        for sym in trs.signature
-    }
-    return Csrs(trs.signature, trs.rules, ReplacementMap(entries))
+    mu = ReplacementMap({sym: _canonical_active(sym) for sym in trs.signature})
+    return Csrs(trs.signature, trs.rules, mu)

@@ -40,6 +40,7 @@ def test_missing_file():
 
 def test_usage_error():
     assert cli_main(["frobnicate"]) == 3
+    assert cli_main(["prove", corpus("less"), "--precedence-cap", "5"]) == 3
 
 
 def test_unravel_roundtrip(tmp_path, capsys):

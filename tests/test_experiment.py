@@ -8,6 +8,7 @@ from conftest import CORPUS, load_system
 
 import ctrskit as ck
 import ctrskit.checker as checker
+from ctrskit.cli import cli_main
 from ctrskit.ctrs import Fuel
 from ctrskit.experiment import (
     CONFIG_ENV_VAR,
@@ -109,6 +110,30 @@ def test_config_loading(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps({"frobnicate": 1}))
     with pytest.raises(ValueError):
         load_config(str(cfg_path))
+
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ([1, 2], "config must be a JSON object"),
+        ({"precedence_cap": 10}, "unknown config keys: ['precedence_cap']"),
+        ({"fuel": {"max_lvl": 3}}, "config fuel: unknown field 'max_lvl'"),
+        ({"fuel": {"max_level": "3"}}, "config fuel: field 'max_level' has the wrong type"),
+        (
+            {"external_tools": [{"name": "x", "cmd": "echo"}]},
+            "config external_tools[0]: unknown field 'cmd'",
+        ),
+        ({"external_tools": {"name": "x"}}, "config external_tools must be a JSON list"),
+        ({"seed_size": "2"}, "config seed_size must be a positive integer"),
+        ({"seed_size": 0}, "config seed_size must be a positive integer"),
+    ],
+)
+def test_malformed_config_is_an_input_error(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main(["experiment", str(tmp_path), "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_external_tool_adapter(tmp_path):

@@ -28,6 +28,17 @@ def test_tokenizer_positions_and_splitting():
     glued = tokenize("a->b")
     assert [t.text for t in glued] == ["a", "->", "b"]
     assert [(t.line, t.col) for t in glued] == [(1, 1), (1, 2), (1, 4)]
+    edge_cases = {
+        "a-->b": [("a-", 1, 1), ("->", 1, 3), ("b", 1, 5)],
+        "==>": [("==", 1, 1), (">", 1, 3)],
+        "=-=": [("=-=", 1, 1)],
+        "f(x)\t-> y": [("f", 1, 1), ("(", 1, 2), ("x", 1, 3), (")", 1, 4), ("->", 1, 6), ("y", 1, 9)],
+        "a\r\nb": [("a", 1, 1), ("b", 2, 1)],
+        "a\x0bb ->c": [("a", 1, 1), ("b", 1, 3), ("->", 1, 5), ("c", 1, 7)],
+        "café(über)": [("café", 1, 1), ("(", 1, 5), ("über", 1, 6), (")", 1, 10)],
+    }
+    for text, expected in edge_cases.items():
+        assert [(t.text, t.line, t.col) for t in tokenize(text)] == expected, text
 
 
 def test_parse_bubble(bubble):

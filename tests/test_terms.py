@@ -28,6 +28,7 @@ from ctrskit.terms import (
     positions,
     replace_at,
     subterm_at,
+    subterms,
     term_size,
     term_to_str,
     vars_of,
@@ -419,3 +420,18 @@ def test_deep_terms_render():
         t = cons(s(t), nil)
     assert term_to_str(t) == ":(s(" * 20_000 + "0" + "),nil)" * 20_000
     assert ck.pretty(t) == "(s(" * 20_000 + "0" + ") : nil)" * 20_000
+
+
+def test_walks_of_a_deep_term_do_not_recurse():
+    depth = 100_000
+    pair, leaf = FunSym("pair", 2), FunSym("leaf", 0)
+    t = Var("x")
+    for _ in range(depth):
+        t = App(pair, (t, App(leaf)))
+    walked = list(subterms(t))
+    assert len(walked) == 2 * depth + 1
+    assert walked[0] is t and walked[depth] == Var("x")
+    assert all(u.sym is pair for u in walked[:depth])
+    assert walked[depth + 1 :] == [App(leaf)] * depth
+    assert vars_of(t) == ["x"]
+    assert fun_syms(t) == {pair, leaf}
