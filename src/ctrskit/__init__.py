@@ -31,7 +31,6 @@ from .csrewrite import (
     enumerate_original_terms,
     explore,
     mu_terminating_on_seeds,
-    plain_steps,
 )
 from .ctrs import (
     DEFAULT_FUEL,
@@ -75,6 +74,7 @@ from .terms import (
     Var,
     active_positions,
     apply_subst,
+    default_u_symbol,
     format_position,
     fun_syms,
     is_original,
@@ -93,9 +93,7 @@ from .unravel import (
     Csrs,
     Rule,
     Trs,
-    default_u_symbol,
     evar_sequence,
-    standard_mu_shape_problems,
     unravel,
     unravel_cs,
     unravel_rule,

@@ -194,8 +194,12 @@ class ProofAlarm(Exception):
         self.methods = methods
 
 
+# The largest seed term, in nodes, enumerated when no seed size is given.
+DEFAULT_SEED_SIZE = 4
+
+
 def prove_quasi_decreasing(
-    system: Dctrs, fuel: Fuel = DEFAULT_FUEL, seed_size: int = 4
+    system: Dctrs, fuel: Fuel = DEFAULT_FUEL, seed_size: int = DEFAULT_SEED_SIZE
 ) -> ProofOutcome:
     """Sound YES/NO/MAYBE verdict on quasi-decreasingness.
 

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .checker import (
+    DEFAULT_SEED_SIZE,
     ProofAlarm,
     SimulationAlarm,
     check_simulation,
@@ -20,7 +21,7 @@ from .checker import (
     validate_witness_order,
 )
 from .csrewrite import MuEngine, enumerate_original_terms, explore
-from .ctrs import ConditionalEngine, Dctrs, Fuel
+from .ctrs import DEFAULT_FUEL, ConditionalEngine, Dctrs, Fuel
 from .experiment import ExperimentConfig, load_config, run_experiment
 from .fmt import (
     ParseError,
@@ -51,9 +52,15 @@ EXIT_INTERNAL = 4
 
 
 def _add_fuel_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-level", type=int, default=8, help="condition discharge depth")
-    parser.add_argument("--max-steps", type=int, default=500, help="node expansions per search")
-    parser.add_argument("--max-term-size", type=int, default=200, help="term size cap")
+    parser.add_argument(
+        "--max-level", type=int, default=DEFAULT_FUEL.max_level, help="condition discharge depth"
+    )
+    parser.add_argument(
+        "--max-steps", type=int, default=DEFAULT_FUEL.max_steps, help="node expansions per search"
+    )
+    parser.add_argument(
+        "--max-term-size", type=int, default=DEFAULT_FUEL.max_term_size, help="term size cap"
+    )
 
 
 def _fuel_from(args: argparse.Namespace) -> Fuel:
@@ -270,14 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="prove or refute quasi-decreasingness")
     p.add_argument("file")
-    p.add_argument("--seeds-size", type=int, default=4)
+    p.add_argument("--seeds-size", type=int, default=DEFAULT_SEED_SIZE)
     p.add_argument("--json", default=None)
     _add_fuel_flags(p)
     p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("check-witness", help="validate the witness order obligations")
     p.add_argument("file")
-    p.add_argument("--seeds-size", type=int, default=4)
+    p.add_argument("--seeds-size", type=int, default=DEFAULT_SEED_SIZE)
     p.add_argument("--json", default=None)
     _add_fuel_flags(p)
     p.set_defaults(func=_cmd_check_witness)

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .ctrs import (
     DEFAULT_FUEL,
     Fuel,
     KIND_MU,
-    KIND_PLAIN,
     Reduction,
     ReductionStep,
     bfs,
@@ -42,7 +41,7 @@ from .terms import (
     match,
     term_to_str,
 )
-from .unravel import Csrs, Trs
+from .unravel import Csrs
 
 
 @dataclass(frozen=True)
@@ -82,20 +81,18 @@ class MuVerdict:
 
 
 class MuEngine:
-    """Memoized one-step successor enumeration: ``mu`` steps at the active
-    positions of a context-sensitive system, ``plain`` steps at every
-    position of a plain one.
+    """Memoized one-step successor enumeration at the active positions of a
+    context-sensitive system.  Plain rewriting is the special case of the
+    full replacement map (:meth:`ReplacementMap.full`).
 
     A term's steps are its root steps, rules in ``rules_by_root`` order, then
     each active argument's memoized steps lifted in ascending argument order:
     a preorder walk, so positions come out in sorted order.
     """
 
-    def __init__(self, system: Union[Csrs, Trs]):
+    def __init__(self, system: Csrs):
         self.system = system
         self._rules_at = rules_by_root(system.rules)
-        self._mu = system.mu if isinstance(system, Csrs) else None
-        self._kind = KIND_MU if self._mu is not None else KIND_PLAIN
         self._active: dict[FunSym, tuple[int, ...]] = {}
         self._cache: dict[Term, tuple[ReductionStep, ...]] = {}
 
@@ -114,7 +111,7 @@ class MuEngine:
                 sigma = match(rule.lhs, s)
                 if sigma is not None:
                     rhs = apply_subst(rule.rhs, sigma)
-                    out.append(ReductionStep(s, rhs, ROOT, rule.id, sigma, self._kind))
+                    out.append(ReductionStep(s, rhs, ROOT, rule.id, sigma, KIND_MU))
             if s.args:  # constants need no replacement-map entry
                 for i in self._active_indices(s.sym):
                     out += lift_steps(s, i, self._steps(s.args[i - 1]))
@@ -124,15 +121,8 @@ class MuEngine:
     def _active_indices(self, sym: FunSym) -> tuple[int, ...]:
         indices = self._active.get(sym)
         if indices is None:
-            active = range(1, sym.arity + 1) if self._mu is None else self._mu.active_indices(sym)
-            indices = self._active[sym] = tuple(sorted(active))
+            indices = self._active[sym] = tuple(sorted(self.system.mu.active_indices(sym)))
         return indices
-
-
-def plain_steps(s: Term, system: Trs) -> list[ReductionStep]:
-    """Unrestricted one-step rewriting: steps at every position, of kind
-    ``plain``, from a fresh engine."""
-    return list(MuEngine(system)._steps(s))
 
 
 @dataclass

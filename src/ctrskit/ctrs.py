@@ -73,7 +73,8 @@ class ConditionalRule:
 
 @dataclass(frozen=True)
 class Violation:
-    """One violated well-formedness condition, tied to a rule (and condition)."""
+    """One violated well-formedness condition, tied to a rule (and condition)
+    or, for a symbol declared but used by no rule, to ``SIG``."""
 
     rule_id: str
     code: str
@@ -120,7 +121,8 @@ def validate_dctrs(
     rules: Sequence[ConditionalRule],
     extra_symbols: Sequence[FunSym] = (),
 ) -> Union[Dctrs, list[Violation]]:
-    """Check the determinism and variable conditions on every rule.
+    """Check the determinism and variable conditions on every rule, and that
+    no symbol, in a rule or in ``extra_symbols``, bears an unraveling name.
 
     Returns the validated system, or the complete list of violations.
     ``extra_symbols`` adds declared-but-unused symbols to the signature
@@ -128,6 +130,7 @@ def validate_dctrs(
     """
     violations: list[Violation] = []
     seen_ids: set[str] = set()
+    used: set[FunSym] = set()
     for rule in rules:
         if rule.id in seen_ids:
             violations.append(Violation(rule.id, "duplicate-id", "rule id used twice"))
@@ -165,24 +168,24 @@ def validate_dctrs(
                 )
             bound |= set(vars_of(t))
 
-        for sym in _rule_symbols(rule):
-            if sym.is_usymbol:
-                violations.append(
-                    Violation(
-                        rule.id,
-                        "unraveling-symbol",
-                        f"symbol {sym.name} is reserved for unraveled systems",
-                    )
-                )
+        rule_symbols = _rule_symbols(rule)
+        used |= rule_symbols
+        violations += _reserved(rule.id, rule_symbols)
+    violations += _reserved("SIG", set(extra_symbols) - used)
 
     if violations:
         return violations
-
-    symbols: set[FunSym] = set(extra_symbols)
-    for rule in rules:
-        symbols |= _rule_symbols(rule)
-    signature = tuple(sorted(symbols, key=lambda s: (s.name, s.arity)))
+    signature = tuple(sorted(used | set(extra_symbols), key=lambda s: (s.name, s.arity)))
     return Dctrs(signature=signature, rules=tuple(rules))
+
+
+def _reserved(where: str, symbols: Iterable[FunSym]) -> list[Violation]:
+    """A violation for each symbol that bears a name reserved for unraveling."""
+    return [
+        Violation(where, "unraveling-symbol", f"symbol {s.name} is reserved for unraveled systems")
+        for s in sorted(symbols, key=lambda s: (s.name, s.arity))
+        if s.is_usymbol
+    ]
 
 
 @dataclass(frozen=True)
@@ -206,11 +209,10 @@ class Fuel:
 DEFAULT_FUEL = Fuel()
 
 # Step kinds: "conditional" steps carry the level that witnessed their
-# conditions, "mu" steps come from the context-sensitive engine, "plain"
-# steps from unrestricted unconditional rewriting.
+# conditions; "mu" steps come from the context-sensitive engine, which also
+# does plain rewriting, under the full replacement map.
 KIND_CONDITIONAL = "conditional"
 KIND_MU = "mu"
-KIND_PLAIN = "plain"
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .checker import ProofAlarm, prove_quasi_decreasing
+from .checker import DEFAULT_SEED_SIZE, ProofAlarm, prove_quasi_decreasing
 from .ctrs import DEFAULT_FUEL, Fuel
 from .fmt import ParseError, ValidationError, parse_ctrs, print_csrs, print_ctrs, print_trs
 from .report import FORMAT_VERSION, certificate_dict, fuel_dict
@@ -63,11 +63,17 @@ class ExternalTool:
 @dataclass
 class ExperimentConfig:
     fuel: Fuel = DEFAULT_FUEL
-    seed_size: int = 4
+    seed_size: int = DEFAULT_SEED_SIZE
     workers: int = 1
     external_tools: list[ExternalTool] = field(default_factory=list)
 
 
+# The file an external tool receives, by ``ExternalTool.transform``.
+_EXPORTS = {
+    "ctrs": print_ctrs,
+    "u": lambda system: print_trs(unravel(system)),
+    "ucs": lambda system: print_csrs(unravel_cs(system)),
+}
 _FUEL_FIELDS = {"max_level": int, "max_steps": int, "max_term_size": int}
 _TOOL_FIELDS = {"name": str, "command": str, "transform": str, "timeout": (int, float)}
 
@@ -111,13 +117,20 @@ def load_config(path: Optional[str] = None) -> ExperimentConfig:
         raise ValueError("config external_tools must be a JSON list")
     return ExperimentConfig(
         fuel=Fuel(**_fields("fuel", data.get("fuel", {}), _FUEL_FIELDS)),
-        seed_size=data.get("seed_size", 4),
+        seed_size=data.get("seed_size", DEFAULT_SEED_SIZE),
         workers=data.get("workers", 1),
-        external_tools=[
-            ExternalTool(**_fields(f"external_tools[{i}]", entry, _TOOL_FIELDS, ("name", "command")))
-            for i, entry in enumerate(tools)
-        ],
+        external_tools=[_tool(f"external_tools[{i}]", entry) for i, entry in enumerate(tools)],
     )
+
+
+def _tool(section: str, entry) -> ExternalTool:
+    tool = ExternalTool(**_fields(section, entry, _TOOL_FIELDS, ("name", "command")))
+    if tool.transform not in _EXPORTS:
+        raise ValueError(
+            f"config {section}: field 'transform' must be one of {sorted(_EXPORTS)}: "
+            f"{tool.transform!r}"
+        )
+    return tool
 
 
 @dataclass
@@ -227,13 +240,7 @@ def _process_file(path: Path, config: ExperimentConfig) -> SystemRow:
         row.certificate = certificate_dict(outcome.certificate)
 
     for tool in config.external_tools:
-        if tool.transform == "ctrs":
-            exported = print_ctrs(system)
-        elif tool.transform == "u":
-            exported = print_trs(unravel(system))
-        else:
-            exported = print_csrs(unravel_cs(system))
-        row.external[tool.name] = _run_external(tool, exported)
+        row.external[tool.name] = _run_external(tool, _EXPORTS[tool.transform](system))
 
     row.wall_time = time.monotonic() - started
     return row

@@ -13,8 +13,9 @@ Input grammar (one s-expression-like section per feature):
 Identifiers are any delimiter-free words, so infix-looking names like ``<``
 or ``:`` are written in prefix application form.  Function arities are
 inferred from first use and checked consistent thereafter; identifiers
-declared in VAR are variables everywhere.  All printers emit deterministic,
-re-parseable text.
+declared in VAR are variables everywhere.  ``U<i>_<rule>`` names denote
+unraveling symbols in every format, so a conditional system may not use
+them.  All printers emit deterministic, re-parseable text.
 """
 
 from __future__ import annotations
@@ -86,17 +87,17 @@ class ProblemFile:
     """A parsed input file plus the metadata needed to interpret terms."""
 
     path: str
-    kind: str  # "ctrs" | "trs" | "csrs"
-    condition_type: str  # "ORIENTED" or the unsupported tag
     declared_vars: list[str]
     system: Union[Dctrs, Trs, Csrs]
 
     @property
+    def kind(self) -> str:
+        """``ctrs``, ``trs`` or ``csrs``, after the type of the system."""
+        return {Dctrs: "ctrs", Trs: "trs", Csrs: "csrs"}[type(self.system)]
+
+    @property
     def signature(self) -> tuple[FunSym, ...]:
         return self.system.signature
-
-
-_U_NAME = re.compile(r"^U(\d+)_(.+)$")
 
 
 class _Parser:
@@ -197,7 +198,7 @@ class _Parser:
 
     def parse(self) -> dict:
         sections: dict = {
-            "condition_type": None,
+            "oriented": False,
             "vars": [],
             "sig": [],
             "rules": [],
@@ -211,7 +212,13 @@ class _Parser:
                 self.skip_balanced()
             elif name == "CONDITIONTYPE":
                 tag = self.word("a condition type")
-                sections["condition_type"] = (tag.text.upper(), tag)
+                if tag.text.upper() != "ORIENTED":
+                    raise self.fail(
+                        f"unsupported condition type {tag.text.upper()}: only ORIENTED "
+                        "(reachability) conditions are handled",
+                        tag,
+                    )
+                sections["oriented"] = True
                 self.expect(")")
             elif name == "VAR":
                 while True:
@@ -293,47 +300,13 @@ class _Parser:
         return (lhs, rhs, tuple(conditions))
 
 
-def _retag(t: Term, table: dict[FunSym, FunSym]) -> Term:
-    if isinstance(t, Var):
-        return t
-    sym = table.get(t.sym, t.sym)
-    return App(sym, tuple(_retag(a, table) for a in t.args))
-
-
-def _u_retag_table(symbols: Sequence[FunSym]) -> dict[FunSym, FunSym]:
-    """Re-attach unraveling origins to symbols named by the documented
-    ``U<i>_<rule>`` scheme (only used for TRS/CSRS inputs)."""
-    table: dict[FunSym, FunSym] = {}
-    for sym in symbols:
-        m = _U_NAME.match(sym.name)
-        if m and sym.origin is None:
-            table[sym] = FunSym(sym.name, sym.arity, origin=(m.group(2), int(m.group(1))))
-    return table
-
-
 def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
     """Parse any of the three supported formats, inferring the kind."""
     parser = _Parser(tokenize(text), path)
     sections = parser.parse()
 
-    condition_type = "ORIENTED"
-    if sections["condition_type"] is not None:
-        condition_type = sections["condition_type"][0]
     has_conditions = any(conds for (_, _, conds) in sections["rules"])
-    if sections["strategy"] is not None:
-        kind = "csrs"
-    elif sections["condition_type"] is not None or has_conditions:
-        kind = "ctrs"
-    else:
-        kind = "trs"
-
-    if kind == "ctrs":
-        if condition_type != "ORIENTED":
-            raise parser.fail(
-                f"unsupported condition type {condition_type}: only ORIENTED "
-                "(reachability) conditions are handled",
-                sections["condition_type"][1],
-            )
+    if sections["strategy"] is None and (sections["oriented"] or has_conditions):
         rules = [
             ConditionalRule(f"r{i}", lhs, rhs, conds)
             for i, (lhs, rhs, conds) in enumerate(sections["rules"], start=1)
@@ -341,22 +314,17 @@ def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
         outcome = validate_dctrs(rules, extra_symbols=sections["sig"])
         if isinstance(outcome, list):
             raise ValidationError(outcome)
-        return ProblemFile(path, "ctrs", condition_type, sections["vars"], outcome)
+        return ProblemFile(path, sections["vars"], outcome)
 
-    # Unconditional: re-attach unraveling origins by naming convention.
-    table = _u_retag_table(list(parser.symbols.values()) + sections["sig"])
-    raw_rules = [
-        (_retag(lhs, table), _retag(rhs, table)) for (lhs, rhs, _) in sections["rules"]
-    ]
-    sig_extra = [table.get(s, s) for s in sections["sig"]]
     try:
-        rules = [Rule(f"r{i}", lhs, rhs) for i, (lhs, rhs) in enumerate(raw_rules, start=1)]
-        trs = Trs.of(rules, extra_symbols=sig_extra)
+        rules = [
+            Rule(f"r{i}", lhs, rhs) for i, (lhs, rhs, _) in enumerate(sections["rules"], start=1)
+        ]
+        trs = Trs.of(rules, extra_symbols=sections["sig"])
     except ValueError as err:
         raise ParseError([Diagnostic(1, 1, str(err))]) from None
-
-    if kind == "trs":
-        return ProblemFile(path, "trs", condition_type, sections["vars"], trs)
+    if sections["strategy"] is None:
+        return ProblemFile(path, sections["vars"], trs)
 
     entries: dict[FunSym, frozenset[int]] = {
         sym: frozenset(range(1, sym.arity + 1)) for sym in trs.signature
@@ -370,7 +338,7 @@ def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
             raise parser.fail(f"strategy indices out of range for {sym.name}/{sym.arity}", sym_tok)
         entries[sym] = frozenset(indices)
     csrs = Csrs(trs.signature, trs.rules, ReplacementMap(entries))
-    return ProblemFile(path, "csrs", condition_type, sections["vars"], csrs)
+    return ProblemFile(path, sections["vars"], csrs)
 
 
 def parse_ctrs(text: str, path: str = "<string>") -> Dctrs:

@@ -17,6 +17,7 @@ Positions are 1-indexed integer tuples; the empty tuple is the root.
 
 from __future__ import annotations
 
+import re
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -39,18 +40,22 @@ class MissingReplacementError(TermError):
     """Raised when a replacement map has no entry for a function symbol."""
 
 
+# The names of the fresh symbols an unraveling introduces: ``U<i>_<rule id>``.
+_U_NAME = re.compile(r"U\d+_.+")
+
+
 @dataclass(frozen=True)
 class FunSym:
     """A function symbol with a fixed arity.
 
-    ``origin`` is ``None`` for symbols of the original signature and
-    ``(rule_id, condition_index)`` for the fresh symbols introduced when a
-    conditional rule is unraveled.
+    ``is_usymbol`` is set from the name, the only record of that fact: true
+    exactly for the ``U<i>_<rule>`` names that :func:`default_u_symbol` gives
+    the fresh symbols of an unraveling, so those names are reserved.
     """
 
     name: str
     arity: int
-    origin: Optional[tuple[str, int]] = None
+    is_usymbol: bool = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -58,23 +63,23 @@ class FunSym:
             raise ValueError("function symbol name must be non-empty")
         if self.arity < 0:
             raise ValueError(f"negative arity for {self.name!r}")
-        if self.origin is not None and self.origin[1] < 1:
-            raise ValueError(f"condition index must be >= 1, got {self.origin}")
-        object.__setattr__(self, "_hash", hash((self.name, self.arity, self.origin)))
+        object.__setattr__(self, "is_usymbol", _U_NAME.fullmatch(self.name) is not None)
+        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         # As for App: the cached hash is only valid under this process's seed.
-        return FunSym, (self.name, self.arity, self.origin)
-
-    @property
-    def is_usymbol(self) -> bool:
-        return self.origin is not None
+        return FunSym, (self.name, self.arity)
 
     def __str__(self) -> str:
         return self.name
+
+
+def default_u_symbol(rule_id: str, index: int, arity: int) -> FunSym:
+    """The documented naming scheme for fresh symbols: ``U<i>_<rule id>``."""
+    return FunSym(f"U{index}_{rule_id}", arity)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +125,7 @@ class App:
                 raise ValueError(
                     f"{sym.name} has arity {sym.arity}, got {len(args)} arguments"
                 )
-            size, original = 1, sym.origin is None
+            size, original = 1, not sym.is_usymbol
             for arg in args:
                 if arg.__class__ is App:
                     size += arg._size
@@ -195,7 +200,7 @@ def _render(t: Term, infix: bool) -> str:
             out.append(node.sym.name)
         else:
             name, args = node.sym.name, node.args
-            if infix and len(args) == 2 and not name[0].isalnum() and not node.sym.is_usymbol:
+            if infix and len(args) == 2 and not name[0].isalnum():
                 out.append("(")
                 todo += [")", args[1], f" {name} ", args[0]]
                 continue

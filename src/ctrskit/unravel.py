@@ -24,6 +24,7 @@ from .terms import (
     ReplacementMap,
     Term,
     Var,
+    default_u_symbol,
     fun_syms,
     term_to_str,
     vars_of,
@@ -75,30 +76,6 @@ class Csrs:
     signature: tuple[FunSym, ...]
     rules: tuple[Rule, ...]
     mu: ReplacementMap
-
-
-def _canonical_active(sym: FunSym) -> frozenset[int]:
-    """The canonical replacement map's entry: every argument of an original
-    symbol, only the first of an unraveling symbol."""
-    return frozenset({1}) if sym.is_usymbol else frozenset(range(1, sym.arity + 1))
-
-
-def standard_mu_shape_problems(csrs: Csrs) -> list[str]:
-    """Deviations from the canonical replacement map."""
-    problems = []
-    for sym in csrs.signature:
-        actual = csrs.mu.active_indices(sym)
-        expected = _canonical_active(sym)
-        if actual != expected:
-            problems.append(
-                f"{sym.name}/{sym.arity}: mu is {sorted(actual)}, expected {sorted(expected)}"
-            )
-    return problems
-
-
-def default_u_symbol(rule_id: str, index: int, arity: int) -> FunSym:
-    """The documented naming scheme for fresh symbols: ``U<i>_<rule id>``."""
-    return FunSym(f"U{index}_{rule_id}", arity, origin=(rule_id, index))
 
 
 def evar_sequence(rule: ConditionalRule, i: int) -> list[str]:
@@ -165,5 +142,7 @@ def unravel_cs(system: Dctrs) -> Csrs:
     """The unraveled system with the canonical replacement map: original
     symbols fully active, fresh symbols active only in argument 1."""
     trs = unravel(system)
-    mu = ReplacementMap({sym: _canonical_active(sym) for sym in trs.signature})
+    mu = ReplacementMap(
+        {s: frozenset({1} if s.is_usymbol else range(1, s.arity + 1)) for s in trs.signature}
+    )
     return Csrs(trs.signature, trs.rules, mu)

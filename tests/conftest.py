@@ -30,6 +30,11 @@ def term_of(name: str, text: str):
     return ck.parse_term(text, load_problem(name))
 
 
+def full_map(trs) -> ck.Csrs:
+    """``trs`` under the full replacement map: plain rewriting."""
+    return ck.Csrs(trs.signature, trs.rules, ck.ReplacementMap.full(trs.signature))
+
+
 @pytest.fixture(scope="session")
 def bubble() -> ck.Dctrs:
     return load_system("bubble_sort")

@@ -34,6 +34,45 @@ def test_validate_parse_error(tmp_path, capsys):
     assert cli_main(["validate", str(bad)]) == 3
 
 
+# A conditional system may not use the names the unraveling gives its fresh
+# symbols: the unraveled file would declare one name for two symbols.
+RESERVED_NAME_CASES = {
+    "rule": (
+        "(VAR x)\n(RULES\n  f(x) -> U1_r1(x,x) | x == a\n  g(x) -> U1_r1(x,x)\n)\n",
+        "[unraveling-symbol] r1: symbol U1_r1 is reserved for unraveled systems\n"
+        "[unraveling-symbol] r2: symbol U1_r1 is reserved for unraveled systems\n",
+    ),
+    "sig": (
+        "(VAR x)\n(SIG (U1_r1 2))\n(RULES f(x) -> x | x == a)\n",
+        "[unraveling-symbol] SIG: symbol U1_r1 is reserved for unraveled systems\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESERVED_NAME_CASES))
+def test_reserved_unraveling_names_are_rejected(tmp_path, capsys, case):
+    text, violations = RESERVED_NAME_CASES[case]
+    path = tmp_path / "reserved.ctrs"
+    path.write_text(text)
+    assert cli_main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == violations
+    assert cli_main(["unravel", str(path)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: " + violations.rstrip("\n").replace("\n", "; ") + "\n"
+
+
+def test_unsupported_condition_type_with_a_strategy(tmp_path, capsys):
+    path = tmp_path / "join.trs"
+    path.write_text("(CONDITIONTYPE JOIN)(RULES a -> b)(STRATEGY CONTEXTSENSITIVE (a))")
+    assert cli_main(["rewrite", str(path), "-t", "a", "--successors"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: 1:16: unsupported condition type JOIN: only ORIENTED "
+        "(reachability) conditions are handled\n"
+    )
+
+
 def test_missing_file():
     assert cli_main(["validate", "/nonexistent/zzz.ctrs"]) == 3
 

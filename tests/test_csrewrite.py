@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import load_system, spy_rule_matches, term_of
+from conftest import full_map, load_system, spy_rule_matches, term_of
+from test_step_oracle import reference_full_steps
 
 import ctrskit as ck
 from ctrskit import csrewrite
@@ -10,18 +11,16 @@ from ctrskit.csrewrite import (
     enumerate_original_terms,
     explore,
     mu_terminating_on_seeds,
-    plain_steps,
 )
 from ctrskit.ctrs import Fuel
 from ctrskit.terms import (
     App,
     FunSym,
-    ReplacementMap,
     Var,
     active_positions,
     term_to_str,
 )
-from ctrskit.unravel import Csrs, Rule, unravel, unravel_cs
+from ctrskit.unravel import Rule, unravel, unravel_cs
 
 
 def bubble_cs(bubble):
@@ -166,28 +165,31 @@ def test_enumerate_is_deterministic(bubble):
     assert len(a) == len(set(a))
 
 
-def test_mu_steps_subset_of_plain_steps(bubble):
-    cs = bubble_cs(bubble)
-    trs = unravel(bubble)
-    samples = [
+def plain_samples(bubble):
+    return [
         u_term(bubble, "<(0,s(0))", "0", "s(0)", "nil"),
         u_term(bubble, "true", "<(0,0)", "s(0)", "nil"),
         term_of("bubble_sort", ":(0,:(s(0),:(0,nil)))"),
         term_of("bubble_sort", "s(<(0,s(0)))"),
     ]
-    for t in samples:
+
+
+def test_mu_steps_subset_of_plain_steps(bubble):
+    cs = bubble_cs(bubble)
+    plain = MuEngine(full_map(unravel(bubble)))
+    for t in plain_samples(bubble):
         mu_set = {(s.target, s.position, s.rule_id) for s in MuEngine(cs).steps(t)}
-        plain_set = {(s.target, s.position, s.rule_id) for s in plain_steps(t, trs)}
+        plain_set = {(s.target, s.position, s.rule_id) for s in plain.steps(t)}
         assert mu_set <= plain_set
 
 
 def test_full_mu_coincides_with_plain(bubble):
-    trs = unravel(bubble)
-    full = Csrs(trs.signature, trs.rules, ReplacementMap.full(trs.signature))
-    for t in enumerate_original_terms(bubble.signature, 4):
-        mu_set = {(s.target, s.position, s.rule_id) for s in MuEngine(full).steps(t)}
-        plain_set = {(s.target, s.position, s.rule_id) for s in plain_steps(t, trs)}
-        assert mu_set == plain_set
+    # Plain rewriting is rewriting under the full replacement map: the engine
+    # lists the steps at every position, as the per-position reference does.
+    full = full_map(unravel(bubble))
+    engine = MuEngine(full)
+    for t in plain_samples(bubble) + enumerate_original_terms(bubble.signature, 4):
+        assert engine.steps(t) == tuple(reference_full_steps(t, full))
 
 
 def test_commutation_property_sampled(bubble):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import load_system, spy_rule_matches, term_of
+from conftest import full_map, load_system, spy_rule_matches, term_of
 
 import ctrskit as ck
 from ctrskit import ctrs
@@ -186,15 +186,15 @@ def test_fuel_monotonicity(bubble):
 
 def test_unconditional_rules_agree_with_plain_rewriting():
     less = load_system("less")
-    from ctrskit.csrewrite import plain_steps
+    from ctrskit.csrewrite import MuEngine
     from ctrskit.unravel import unravel
 
-    trs = unravel(less)  # unconditional: identical rules
+    engine = MuEngine(full_map(unravel(less)))  # unconditional: identical rules
     for text in ["<(s(0),s(s(0)))", "<(0,0)", "s(<(0,s(0)))"]:
         t = term_of("less", text)
         cond, exhausted = ConditionalEngine(less).all_steps(t)
         assert not exhausted
-        plain = plain_steps(t, trs)
+        plain = engine.steps(t)
         assert {(s.target, s.position) for s in cond} == {
             (s.target, s.position) for s in plain
         }

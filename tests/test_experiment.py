@@ -127,6 +127,10 @@ def test_config_loading(tmp_path, monkeypatch):
         ({"external_tools": {"name": "x"}}, "config external_tools must be a JSON list"),
         ({"seed_size": "2"}, "config seed_size must be a positive integer"),
         ({"seed_size": 0}, "config seed_size must be a positive integer"),
+        (
+            {"external_tools": [{"name": "x", "command": "cat {file}", "transform": "U"}]},
+            "config external_tools[0]: field 'transform' must be one of ['ctrs', 'u', 'ucs']",
+        ),
     ],
 )
 def test_malformed_config_is_an_input_error(tmp_path, capsys, config, message):

@@ -58,6 +58,18 @@ def test_unsupported_condition_type():
     assert (diag.line, diag.col) == (1, 16)
 
 
+@pytest.mark.parametrize(
+    "strategy", ["", "(STRATEGY CONTEXTSENSITIVE (a))"], ids=["ctrs", "csrs"]
+)
+def test_unsupported_condition_type_in_every_format(strategy):
+    with pytest.raises(ParseError) as err:
+        parse_problem("(CONDITIONTYPE JOIN)(RULES a -> b)" + strategy)
+    assert [str(d) for d in err.value.diagnostics] == [
+        "1:16: unsupported condition type JOIN: only ORIENTED "
+        "(reachability) conditions are handled"
+    ]
+
+
 def test_semi_equational_rejected():
     with pytest.raises(ParseError) as err:
         parse_problem("(CONDITIONTYPE SEMI-EQUATIONAL)\n(RULES a -> b)")
@@ -135,14 +147,28 @@ def test_roundtrip_trs_and_csrs(bubble):
     assert reparsed_cs.kind == "csrs"
     assert _same_system(reparsed_cs.system, cs)
     assert reparsed_cs.system.mu == cs.mu
-    assert ck.standard_mu_shape_problems(reparsed_cs.system) == []
+
+
+def test_unraveled_exports_reparse_to_the_same_symbols():
+    for path in sorted(CORPUS.glob("*.ctrs")):
+        system = parse_ctrs(path.read_text(), str(path))
+        for exported, text in [
+            (unravel(system), print_trs(unravel(system))),
+            (unravel_cs(system), print_csrs(unravel_cs(system))),
+        ]:
+            signature = parse_problem(text).signature
+            names = [s.name for s in signature]
+            assert len(set(names)) == len(names), path.name
+            assert [(s.name, s.arity, s.is_usymbol) for s in signature] == [
+                (s.name, s.arity, s.is_usymbol) for s in exported.signature
+            ], path.name
 
 
 def test_reparsed_u_symbols_recover_origin(bubble):
+    # The name is the one record of a fresh symbol, so a re-parse recovers it.
     reparsed = parse_problem(print_csrs(unravel_cs(bubble)))
     u = [s for s in reparsed.system.signature if s.is_usymbol]
-    assert len(u) == 1
-    assert u[0].origin == ("r4", 1)
+    assert [(s.name, s.arity) for s in u] == [("U1_r4", 4)]
 
 
 def test_csrs_strategy_defaults_to_full():

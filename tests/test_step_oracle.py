@@ -14,15 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, load_system, spy_rule_matches
+from conftest import CORPUS, full_map, load_system, spy_rule_matches
 from test_checker import _random_dctrs
 
 from ctrskit import csrewrite
-from ctrskit.csrewrite import MuEngine, enumerate_original_terms, explore, plain_steps
+from ctrskit.csrewrite import MuEngine, enumerate_original_terms, explore
 from ctrskit.ctrs import (
     KIND_CONDITIONAL,
     KIND_MU,
-    KIND_PLAIN,
     ConditionalEngine,
     Fuel,
     ReductionStep,
@@ -67,8 +66,9 @@ def reference_mu_steps(s, cs):
     return reference_steps(s, rules_by_root(cs.rules), sorted(active_positions(s, cs.mu)), KIND_MU)
 
 
-def reference_plain_steps(s, trs):
-    return reference_steps(s, rules_by_root(trs.rules), sorted(positions(s)), KIND_PLAIN)
+def reference_full_steps(s, system):
+    """The steps at every position: plain rewriting."""
+    return reference_steps(s, rules_by_root(system.rules), sorted(positions(s)), KIND_MU)
 
 
 def reference_engine(system, fuel):
@@ -131,14 +131,14 @@ def explored_terms(seeds, cs):
 
 
 def check_against_reference(system, seeds):
-    cs, trs = unravel_cs(system), unravel(system)
-    mu_engine, plain_engine = MuEngine(cs), MuEngine(trs)
+    cs, plain = unravel_cs(system), full_map(unravel(system))
+    mu_engine, plain_engine = MuEngine(cs), MuEngine(plain)
     for t in explored_terms(seeds, cs):
         expected = full(reference_mu_steps(t, cs))
         assert full(mu_engine.steps(t)) == expected
         assert full(MuEngine(cs).steps(t)) == expected
-        expected = full(reference_plain_steps(t, trs))
-        assert full(plain_steps(t, trs)) == expected
+        expected = full(reference_full_steps(t, plain))
+        assert full(MuEngine(plain).steps(t)) == expected
         assert full(plain_engine.steps(t)) == expected
     # The same operations in the same order spend the same work budget, so
     # two engines that have stepped the same terms must agree exactly.

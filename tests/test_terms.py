@@ -21,6 +21,7 @@ from ctrskit.terms import (
     Var,
     active_positions,
     apply_subst,
+    default_u_symbol,
     fun_syms,
     is_original,
     match,
@@ -40,7 +41,7 @@ ZERO = FunSym("0", 0)
 TRUE = FunSym("true", 0)
 CONS = FunSym(":", 2)
 NIL = FunSym("nil", 0)
-U4 = FunSym("U", 4, origin=("r4", 1))
+U4 = FunSym("U1_r4", 4)
 
 zero = App(ZERO)
 true = App(TRUE)
@@ -160,7 +161,15 @@ def test_mu_proper_subterms():
 def test_is_original():
     assert is_original(lt(zero, s(zero)))
     assert not is_original(App(U4, (true, Var("x"), Var("y"), Var("ys"))))
-    assert not is_original(s(App(FunSym("U", 2, origin=("r1", 1)), (Var("x"), Var("y")))))
+    assert not is_original(s(App(FunSym("U1_r1", 2), (Var("x"), Var("y")))))
+
+
+def test_usymbol_flag_follows_the_name():
+    assert FunSym("U1_r1", 2).is_usymbol and FunSym("U12_r3.1", 0).is_usymbol
+    assert default_u_symbol("r4", 1, 4) == FunSym("U1_r4", 4) == U4
+    for name in ("U", "U1", "U1_", "Ua_r1", "u1_r1", "xU1_r1", "U_r1", "<"):
+        assert not FunSym(name, 2).is_usymbol, name
+    assert not is_original(App(FunSym("U1_r1", 0)))
 
 
 def test_replacement_map_validates_indices():
@@ -234,7 +243,7 @@ def test_positions_count_equals_size(t):
 
 # -- cached attributes ---------------------------------------------------------
 
-MIXED_SIG = SMALL_SIG + (FunSym("U", 2, origin=("r1", 1)),)
+MIXED_SIG = SMALL_SIG + (FunSym("U1_r1", 2),)
 
 
 def _reference_size(t):
@@ -250,14 +259,14 @@ def _reference_original(t):
 def _reference_key(t):
     if isinstance(t, Var):
         return ("var", t.name)
-    return ("app", t.sym.name, t.sym.arity, t.sym.origin, tuple(map(_reference_key, t.args)))
+    return ("app", t.sym.name, t.sym.arity, tuple(map(_reference_key, t.args)))
 
 
 def _rebuilt(t):
     """An equal term that shares no node or symbol object with ``t``."""
     if isinstance(t, Var):
         return Var(str(t.name))
-    sym = FunSym(t.sym.name, t.sym.arity, t.sym.origin)
+    sym = FunSym(t.sym.name, t.sym.arity)
     return App(sym, tuple(_rebuilt(a) for a in t.args))
 
 
@@ -387,12 +396,11 @@ def test_symbols_built_apart_compare_and_match_by_value(pattern, ground):
     assert match(_rebuilt(pattern), subject) == sigma
     assert match(pattern, _rebuilt(subject)) == sigma
     for sym in fun_syms(subject):
-        twin = FunSym(sym.name, sym.arity, sym.origin)
+        twin = FunSym(sym.name, sym.arity)
         assert twin is not sym and twin == sym and not twin != sym
-        assert hash(twin) == hash(sym)
-        assert FunSym(sym.name, sym.arity + 1, sym.origin) != sym
-        assert FunSym(sym.name + "'", sym.arity, sym.origin) != sym
-        assert FunSym(sym.name, sym.arity, ("r9", 9)) != sym
+        assert hash(twin) == hash(sym) and twin.is_usymbol == sym.is_usymbol
+        assert FunSym(sym.name, sym.arity + 1) != sym
+        assert FunSym(sym.name + "'", sym.arity) != sym
 
 
 def _reference_str(t, infix):

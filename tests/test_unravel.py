@@ -45,8 +45,8 @@ def test_evar_sequence_ground_target(bubble):
 def test_unravel_rule_two_conditions():
     rules = unravel_rule(TWO_COND)
     assert len(rules) == 3
-    u1 = FunSym("U1_r1", 2, origin=("r1", 1))
-    u2 = FunSym("U2_r1", 3, origin=("r1", 2))
+    u1 = FunSym("U1_r1", 2)
+    u2 = FunSym("U2_r1", 3)
     assert rules[0].lhs == App(F, (Var("x"),))
     assert rules[0].rhs == App(u1, (App(G, (Var("x"),)), Var("x")))
     assert rules[1].lhs == App(u1, (Var("y"), Var("x")))
@@ -66,7 +66,7 @@ def test_unravel_rule_bubble_swap(bubble):
     swap = bubble.rule("r4")
     out = unravel_rule(swap)
     assert len(out) == 2
-    u = FunSym("U1_r4", 4, origin=("r4", 1))
+    u = FunSym("U1_r4", 4)
     lt, cons = FunSym("<", 2), FunSym(":", 2)
     x, y, ys = Var("x"), Var("y"), Var("ys")
     assert out[0].lhs == App(cons, (x, App(cons, (y, ys))))
@@ -105,7 +105,6 @@ def test_unravel_cs_replacement_map(bubble):
     assert cs.mu.active_indices(by_name["U1_r4"]) == frozenset({1})
     for const in ("0", "true", "false", "nil"):
         assert cs.mu.active_indices(by_name[const]) == frozenset()
-    assert ck.standard_mu_shape_problems(cs) == []
 
 
 def test_unravel_cs_unconditional_is_plain():
