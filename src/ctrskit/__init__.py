@@ -81,7 +81,6 @@ from .terms import (
     match,
     mu_proper_subterms,
     positions,
-    pretty,
     replace_at,
     subterm_at,
     subterms,

@@ -22,7 +22,7 @@ from .checker import (
 )
 from .csrewrite import MuEngine, enumerate_original_terms, explore
 from .ctrs import DEFAULT_FUEL, ConditionalEngine, Dctrs, Fuel
-from .experiment import ExperimentConfig, load_config, run_experiment
+from .experiment import load_config, run_experiment
 from .fmt import (
     ParseError,
     ValidationError,
@@ -31,7 +31,6 @@ from .fmt import (
     parse_problem,
     parse_term,
     print_csrs,
-    print_ctrs,
     print_trs,
 )
 from .report import (

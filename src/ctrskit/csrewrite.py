@@ -172,14 +172,13 @@ def mu_terminating_on_seeds(
     seeds: Sequence[Term],
     system: Csrs,
     fuel: Fuel = DEFAULT_FUEL,
-    engine: Optional[MuEngine] = None,
 ) -> MuVerdict:
-    """Aggregate exploration over seed terms; a loop anywhere dominates,
-    then fuel exhaustion, then termination with the maximal depth."""
+    """Aggregate exploration over seed terms, on one engine; a loop anywhere
+    dominates, then fuel exhaustion, then termination with the maximal depth."""
     for seed in seeds:
         if not is_original(seed):
             raise ValueError(f"seed {term_to_str(seed)} contains unraveling symbols")
-    eng = engine if engine is not None else MuEngine(system)
+    eng = MuEngine(system)
     max_depth = 0
     any_unknown = False
     for seed in seeds:

@@ -11,7 +11,11 @@ steps of level ``i`` or lower, and level 0 permits no steps at all.
 
 Conditional rewriting is undecidable in general, so every search here is
 bounded by a :class:`Fuel` and every answer carries an ``exhausted`` flag
-distinguishing "provably absent" from "not found within bounds".
+distinguishing "provably absent" from "not found within bounds".  One rule
+decides completeness: a rule's solutions at level budget ``L`` are complete
+when its condition searches at level ``L - 1`` saturated, and a closure is
+complete when every step it took is; by induction on the level, such an
+answer is the same at every higher level (see ``_rule_solutions``).
 
 The engine memoizes per (term, level budget): rule solutions, reduct
 closures and one-step reducts.  A term's one-step reducts are its root steps
@@ -296,11 +300,6 @@ def lift_steps(s: App, i: int, steps: Iterable[ReductionStep]) -> list[Reduction
     ]
 
 
-class StepAt(NamedTuple):
-    step: Optional[ReductionStep]
-    exhausted: bool
-
-
 class StepSearch(NamedTuple):
     steps: tuple[ReductionStep, ...]
     exhausted: bool
@@ -499,7 +498,16 @@ class ConditionalEngine:
         self, redex: Term, rule: ConditionalRule, budget: int
     ) -> tuple[tuple[tuple[dict, int], ...], bool]:
         """Matching substitutions for ``rule`` on ``redex`` with their minimal
-        witnessing levels, using condition discharge at levels < budget."""
+        witnessing levels, using condition discharge at levels < budget.
+
+        The solutions are complete when the condition searches at the top
+        level, ``budget - 1``, saturated.  By induction on the level: the
+        level-0 closure of a condition source ``t`` is ``{t}``, flagged
+        exactly when ``t`` has a syntactic redex, so unflagged it is ``t``'s
+        closure at every level; and if every condition closure at level
+        ``L - 1`` is unflagged, it equals the closure at every level, so the
+        level-``L`` solutions, and the steps and closures built on them, are final.
+        """
         sigma0 = match(rule.lhs, redex)
         if sigma0 is None:
             return (), False
@@ -514,21 +522,11 @@ class ConditionalEngine:
             return (), True
 
         solutions: dict[tuple, tuple[dict, int]] = {}
-        exhausted_top = True
-        keys_before_last: set[tuple] = set()
         for level in range(1, budget + 1):
-            if level == budget:
-                keys_before_last = set(solutions)
-            found, sub_exhausted = self._solve_conditions(rule.conditions, sigma0, level - 1)
+            found, exhausted = self._solve_conditions(rule.conditions, sigma0, level - 1)
             for sigma in found:
-                k = _subst_key(sigma)
-                if k not in solutions:
-                    solutions[k] = (sigma, level)
-            if level == budget:
-                # Complete only if the sub-searches saturated and no new
-                # solutions appeared at the top budget (level fixpoint).
-                exhausted_top = sub_exhausted or set(solutions) != keys_before_last
-        result = (tuple(solutions.values()), exhausted_top)
+                solutions.setdefault(_subst_key(sigma), (sigma, level))
+        result = (tuple(solutions.values()), exhausted)
         if self._work <= self.fuel.max_steps:
             # Results truncated by the operation budget are not cached: a
             # later operation with a fresh budget must be able to do better.
@@ -638,30 +636,6 @@ class ConditionalEngine:
         of ``rule`` within the engine's level budget."""
         self._reset_budget()
         return self._solve_conditions(rule.conditions[:upto], sigma, self.fuel.max_level)
-
-    def step_at(self, s: Term, p: Position, rule: ConditionalRule) -> StepAt:
-        """The minimal-level step applying ``rule`` at position ``p`` of ``s``."""
-        self._reset_budget()
-        redex = subterm_at(s, p)
-        if isinstance(redex, Var):
-            return StepAt(None, False)
-        solutions, exhausted = self._rule_solutions(redex, rule, self.fuel.max_level)
-        if not solutions:
-            return StepAt(None, exhausted)
-        sigma, level = min(
-            solutions, key=lambda pair: (pair[1], _term_key(apply_subst(rule.rhs, pair[0])))
-        )
-        target = replace_at(s, p, apply_subst(rule.rhs, sigma))
-        step = ReductionStep(
-            source=s,
-            target=target,
-            position=p,
-            rule_id=rule.id,
-            subst=sigma,
-            kind=KIND_CONDITIONAL,
-            level=level,
-        )
-        return StepAt(step, exhausted)
 
     def all_steps(self, s: Term) -> StepSearch:
         self._reset_budget()

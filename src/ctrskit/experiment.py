@@ -23,14 +23,14 @@ import subprocess
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from .checker import DEFAULT_SEED_SIZE, ProofAlarm, prove_quasi_decreasing
 from .ctrs import DEFAULT_FUEL, Fuel
 from .fmt import ParseError, ValidationError, parse_ctrs, print_csrs, print_ctrs, print_trs
-from .report import FORMAT_VERSION, certificate_dict, fuel_dict
+from .report import FORMAT_VERSION, certificate_dict
 from .unravel import unravel, unravel_cs
 
 CONFIG_ENV_VAR = "CTRSKIT_CONFIG"
@@ -161,25 +161,9 @@ class ExperimentReport:
         return {
             "format_version": FORMAT_VERSION,
             "note": self.note,
-            "fuel": fuel_dict(self.fuel),
+            "fuel": asdict(self.fuel),
             "summary": self.summary,
-            "rows": [
-                {
-                    "system": r.system,
-                    "file": r.file,
-                    "status": r.status,
-                    "rule_count": r.rule_count,
-                    "conditional_count": r.conditional_count,
-                    "unraveled_count": r.unraveled_count,
-                    "verdict": r.verdict,
-                    "methods": r.methods,
-                    "certificate": r.certificate,
-                    "external": r.external,
-                    "error": r.error,
-                    "wall_time": r.wall_time,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "total_time": self.total_time,
         }
 
@@ -259,21 +243,12 @@ def run_experiment(directory: str, config: Optional[ExperimentConfig] = None) ->
         rows = [_process_file(p, cfg) for p in files]
     rows.sort(key=lambda r: r.system)
 
-    summary = {
-        "YES": sum(1 for r in rows if r.verdict == "YES"),
-        "NO": sum(1 for r in rows if r.verdict == "NO"),
-        "MAYBE": sum(1 for r in rows if r.verdict == "MAYBE"),
-        "error": sum(1 for r in rows if r.verdict is None),
-        "by_method": {
-            "unravel+lpo": {
-                "YES": sum(1 for r in rows if r.methods.get("unravel+lpo") == "YES"),
-                "MAYBE": sum(1 for r in rows if r.methods.get("unravel+lpo") == "MAYBE"),
-            },
-            "loop-search": {
-                "NO": sum(1 for r in rows if r.methods.get("loop-search") == "NO"),
-                "MAYBE": sum(1 for r in rows if r.methods.get("loop-search") == "MAYBE"),
-            },
-        },
+    verdicts = [r.verdict for r in rows]
+    summary: dict = {v: verdicts.count(v) for v in ("YES", "NO", "MAYBE")}
+    summary["error"] = verdicts.count(None)
+    summary["by_method"] = {
+        method: {a: sum(r.methods.get(method) == a for r in rows) for a in (answer, "MAYBE")}
+        for method, answer in (("unravel+lpo", "YES"), ("loop-search", "NO"))
     }
     return ExperimentReport(
         rows=rows,

@@ -10,7 +10,7 @@ Input grammar (one s-expression-like section per feature):
     )
     (STRATEGY CONTEXTSENSITIVE (f 1 2) (g))   replacement map, TRS/CSRS only
 
-Identifiers are any delimiter-free words, so infix-looking names like ``<``
+Identifiers are any delimiter-free words, so operator names like ``<``
 or ``:`` are written in prefix application form.  Function arities are
 inferred from first use and checked consistent thereafter; identifiers
 declared in VAR are variables everywhere.  ``U<i>_<rule>`` names denote
@@ -274,7 +274,7 @@ class _Parser:
                             raise self.fail(f"expected an index, found {inner.text!r}", inner)
                         indices.append(int(inner.text))
                     entries.append((sym_tok, indices))
-                sections["strategy"] = entries
+                sections["strategy"] = (keyword, entries)
             else:
                 raise self.fail(f"unknown section {keyword.text!r}", keyword)
         return sections
@@ -306,7 +306,10 @@ def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
     sections = parser.parse()
 
     has_conditions = any(conds for (_, _, conds) in sections["rules"])
-    if sections["strategy"] is None and (sections["oriented"] or has_conditions):
+    strategy = sections["strategy"]
+    if strategy is not None and has_conditions:
+        raise parser.fail("conditional rules cannot take a STRATEGY section", strategy[0])
+    if strategy is None and (sections["oriented"] or has_conditions):
         rules = [
             ConditionalRule(f"r{i}", lhs, rhs, conds)
             for i, (lhs, rhs, conds) in enumerate(sections["rules"], start=1)
@@ -323,14 +326,14 @@ def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
         trs = Trs.of(rules, extra_symbols=sections["sig"])
     except ValueError as err:
         raise ParseError([Diagnostic(1, 1, str(err))]) from None
-    if sections["strategy"] is None:
+    if strategy is None:
         return ProblemFile(path, sections["vars"], trs)
 
     entries: dict[FunSym, frozenset[int]] = {
         sym: frozenset(range(1, sym.arity + 1)) for sym in trs.signature
     }
     by_name = {sym.name: sym for sym in trs.signature}
-    for sym_tok, indices in sections["strategy"]:
+    for sym_tok, indices in strategy[1]:
         sym = by_name.get(sym_tok.text)
         if sym is None:
             raise parser.fail(f"strategy entry for unknown symbol {sym_tok.text!r}", sym_tok)

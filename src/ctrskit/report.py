@@ -19,14 +19,10 @@ from .checker import (
     WitnessOrderReport,
 )
 from .csrewrite import MuVerdict, ReductionGraph
-from .ctrs import Fuel, Reduction, ReductionStep
+from .ctrs import Reduction, ReductionStep
 from .terms import format_position, is_original, term_to_str
 
 FORMAT_VERSION = 1
-
-
-def fuel_dict(fuel: Fuel) -> dict:
-    return asdict(fuel)
 
 
 def step_dict(step: ReductionStep) -> dict:
@@ -58,7 +54,7 @@ def verdict_dict(verdict: MuVerdict) -> dict:
     if verdict.witness is not None:
         out["witness"] = reduction_dict(verdict.witness)
     if verdict.exhausted_fuel is not None:
-        out["fuel"] = fuel_dict(verdict.exhausted_fuel)
+        out["fuel"] = asdict(verdict.exhausted_fuel)
     return out
 
 
@@ -75,7 +71,7 @@ def certificate_dict(cert) -> dict:
             "loop": reduction_dict(cert.loop),
         }
     if isinstance(cert, BoundsExhausted):
-        return {"type": "bounds-exhausted", "fuel": fuel_dict(cert.fuel)}
+        return {"type": "bounds-exhausted", "fuel": asdict(cert.fuel)}
     raise TypeError(f"unknown certificate {type(cert).__name__}")
 
 
@@ -95,16 +91,7 @@ def witness_report_dict(report: WitnessOrderReport) -> dict:
         "ok": report.ok,
         "incomplete": report.incomplete,
         "sampled_pairs": len(report.sampled_pairs),
-        "obligations": [
-            {
-                "number": ob.number,
-                "name": ob.name,
-                "passed": ob.passed,
-                "checked": ob.checked,
-                "failures": list(ob.failures),
-            }
-            for ob in report.obligations
-        ],
+        "obligations": [asdict(ob) for ob in report.obligations],
         "chain_instances": [
             {
                 "rule": inst["rule"],

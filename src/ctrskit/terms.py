@@ -176,18 +176,8 @@ def term_size(t: Term) -> int:
 
 
 def term_to_str(t: Term) -> str:
-    """Prefix rendering: ``f(a,b)``, constants and variables bare."""
-    return _render(t, infix=False)
-
-
-def pretty(t: Term) -> str:
-    """Human-oriented rendering: binary symbols with non-word names go infix."""
-    return _render(t, infix=True)
-
-
-def _render(t: Term, infix: bool) -> str:
-    """The renderers' shared walk, with an explicit stack so that terms of any
-    depth print."""
+    """Prefix rendering: ``f(a,b)``, constants and variables bare.  The walk
+    keeps an explicit stack, so that terms of any depth print."""
     out: list[str] = []
     todo: list = [t]  # terms still to render and literal text still to emit
     while todo:
@@ -199,16 +189,11 @@ def _render(t: Term, infix: bool) -> str:
         elif not node.args:
             out.append(node.sym.name)
         else:
-            name, args = node.sym.name, node.args
-            if infix and len(args) == 2 and not name[0].isalnum():
-                out.append("(")
-                todo += [")", args[1], f" {name} ", args[0]]
-                continue
-            out.append(name + "(")
+            out.append(node.sym.name + "(")
             todo.append(")")
-            for arg in reversed(args[1:]):
+            for arg in reversed(node.args[1:]):
                 todo += [arg, ","]
-            todo.append(args[0])
+            todo.append(node.args[0])
     return "".join(out)
 
 

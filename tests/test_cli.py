@@ -73,6 +73,46 @@ def test_unsupported_condition_type_with_a_strategy(tmp_path, capsys):
     )
 
 
+# The replacement map of a STRATEGY section is for unconditional rules; a
+# conditional rule read under one would lose its conditions.
+CONDITIONAL_WITH_STRATEGY = (
+    "(VAR x)(SIG (a 0))(RULES f(x) -> x | x == b)(STRATEGY CONTEXTSENSITIVE (f 1))"
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["unravel"],
+        ["rewrite", "-t", "f(a)", "--successors"],
+        ["rewrite", "-t", "f(a)", "--mu"],
+        ["simulate", "-s", "f(a)"],
+        ["prove"],
+        ["check-witness"],
+    ],
+    ids=["validate", "unravel", "rewrite", "rewrite-mu", "simulate", "prove", "check-witness"],
+)
+def test_conditional_rules_with_a_strategy_are_rejected(tmp_path, capsys, command):
+    path = tmp_path / "strategy.trs"
+    path.write_text(CONDITIONAL_WITH_STRATEGY)
+    assert cli_main([command[0], str(path), *command[1:]]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 1:46: conditional rules cannot take a STRATEGY section\n"
+
+
+def test_complete_condition_searches_leave_the_witness_check_complete(tmp_path, capsys):
+    # The condition c == c holds at level 1, and c is a normal form: the
+    # level-0 closure {c} is complete, so nothing here is cut by a bound.
+    path = tmp_path / "normal_condition.ctrs"
+    path.write_text("(CONDITIONTYPE ORIENTED)(RULES a -> b | c == c)")
+    code = cli_main(["check-witness", str(path), "--seeds-size", "1", "--max-level", "1"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert "incomplete" not in out + err
+
+
 def test_missing_file():
     assert cli_main(["validate", "/nonexistent/zzz.ctrs"]) == 3
 
@@ -215,10 +255,10 @@ def test_prove_alarm_is_an_internal_error(monkeypatch, capsys):
     )
     real = checker.mu_terminating_on_seeds
 
-    def loops_on_less(seeds, cs, fuel=ck.DEFAULT_FUEL, engine=None):
+    def loops_on_less(seeds, cs, fuel=ck.DEFAULT_FUEL):
         if any(s.name == "<" for s in cs.signature):
             return fake_loop
-        return real(seeds, cs, fuel, engine)
+        return real(seeds, cs, fuel)
 
     monkeypatch.setattr(checker, "mu_terminating_on_seeds", loops_on_less)
     assert cli_main(["prove", corpus("less")]) == EXIT_INTERNAL

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from conftest import full_map, load_system, spy_rule_matches, term_of
+from test_checker import _random_dctrs
 
 import ctrskit as ck
 from ctrskit import ctrs
@@ -11,7 +14,7 @@ from ctrskit.ctrs import (
     Fuel,
     validate_dctrs,
 )
-from ctrskit.terms import App, FunSym, Var
+from ctrskit.terms import App, FunSym, Var, term_to_str
 
 
 def test_fuel_bounds_positive():
@@ -75,11 +78,17 @@ def test_validate_duplicate_ids():
     assert outcome[0].code == "duplicate-id"
 
 
+def root_steps(engine, t, rule_id):
+    """The root steps of ``rule_id`` among ``t``'s steps, and whether the
+    answer is exhausted."""
+    steps, exhausted = engine.all_steps(t)
+    return [st for st in steps if st.position == () and st.rule_id == rule_id], exhausted
+
+
 def test_conditional_step_at_swap(bubble):
     t = term_of("bubble_sort", ":(0,:(s(0),nil))")
     swap = bubble.rule("r4")
-    step, exhausted = ConditionalEngine(bubble).step_at(t, (), swap)
-    assert step is not None
+    (step,), exhausted = root_steps(ConditionalEngine(bubble), t, "r4")
     assert not exhausted
     assert step.level == 2
     assert step.target == term_of("bubble_sort", ":(s(0),:(0,nil))")
@@ -88,9 +97,8 @@ def test_conditional_step_at_swap(bubble):
 
 def test_conditional_step_blocked_by_condition(bubble):
     t = term_of("bubble_sort", ":(s(0),:(0,nil))")
-    swap = bubble.rule("r4")
-    step, exhausted = ConditionalEngine(bubble).step_at(t, (), swap)
-    assert step is None
+    steps, exhausted = root_steps(ConditionalEngine(bubble), t, "r4")
+    assert steps == []
     assert not exhausted  # the condition's reduct set saturates at false
 
 
@@ -159,12 +167,23 @@ def test_reachable_ignores_oversized_steps_after_the_goal():
 
 def test_level_monotonicity(bubble):
     t = term_of("bubble_sort", ":(0,:(s(0),nil))")
-    swap = bubble.rule("r4")
     for max_level in (2, 3, 5, 8):
-        step, _ = ConditionalEngine(bubble, Fuel(max_level=max_level)).step_at(t, (), swap)
-        assert step is not None and step.level == 2
-    step, _ = ConditionalEngine(bubble, Fuel(max_level=1)).step_at(t, (), swap)
-    assert step is None  # needs level 2
+        (step,), _ = root_steps(ConditionalEngine(bubble, Fuel(max_level=max_level)), t, "r4")
+        assert step.level == 2
+    steps, _ = root_steps(ConditionalEngine(bubble, Fuel(max_level=1)), t, "r4")
+    assert steps == []  # needs level 2
+
+
+def test_saturated_condition_searches_make_complete_steps():
+    # The condition's source c is a normal form, so its level-0 closure {c}
+    # is complete and the level-1 solution is final: no higher level can add
+    # a step, whatever max_level allows.
+    text = "(CONDITIONTYPE ORIENTED)(RULES a -> b | c == c)"
+    system, problem = ck.parse_ctrs(text), ck.parse_problem(text)
+    a, b = ck.parse_term("a", problem), ck.parse_term("b", problem)
+    for max_level in (1, 2, 8):
+        (step,), exhausted = ConditionalEngine(system, Fuel(max_level=max_level)).all_steps(a)
+        assert (step.target, step.level, exhausted) == (b, 1, False)
 
 
 def test_fuel_monotonicity(bubble):
@@ -182,6 +201,34 @@ def test_fuel_monotonicity(bubble):
         big_steps, _ = ConditionalEngine(system, big).all_steps(t)
         keys = lambda steps: {(s.target, s.position, s.rule_id) for s in steps}
         assert keys(small_steps) <= keys(big_steps)
+
+
+def ask(engine, t, goal):
+    return engine.all_steps(t) if goal is None else engine.reachable(t, goal)
+
+
+def test_complete_answers_do_not_change_with_more_fuel():
+    # A complete answer is final: more levels and a larger work budget give
+    # the same steps (levels and substitutions included) or the same path,
+    # and complete again.  Level 1 makes every condition search a level-0
+    # closure; levels 2 and 4 cover nested discharges.  The systems are the
+    # first 40 of the stream that test_simulation_completeness_on_random_systems
+    # draws from; every engine is warm.
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(40):
+        system = _random_dctrs(rng)
+        terms = enumerate_original_terms(system.signature, 3)
+        questions = [(t, None) for t in terms] + [(t, goal) for t in terms for goal in terms[:2]]
+        ample = ConditionalEngine(system, Fuel(8, 2000, 60))
+        for max_level in (1, 2, 4):
+            bounded = ConditionalEngine(system, Fuel(max_level, 200, 60))
+            for t, goal in questions:
+                answer = ask(bounded, t, goal)
+                if not answer.exhausted:
+                    assert ask(ample, t, goal) == answer, (max_level, term_to_str(t))
+                    checked += 1
+    assert checked > 4000
 
 
 def test_unconditional_rules_agree_with_plain_rewriting():

@@ -176,10 +176,10 @@ def test_alarm_when_both_methods_answer(monkeypatch, tmp_path):
     assert fake_loop.is_loop
     real = checker.mu_terminating_on_seeds
 
-    def loops_on_less(seeds, cs, fuel=ck.DEFAULT_FUEL, engine=None):
+    def loops_on_less(seeds, cs, fuel=ck.DEFAULT_FUEL):
         if any(s.name == "<" for s in cs.signature):
             return fake_loop
-        return real(seeds, cs, fuel, engine)
+        return real(seeds, cs, fuel)
 
     monkeypatch.setattr(checker, "mu_terminating_on_seeds", loops_on_less)
     with pytest.raises(ck.ProofAlarm) as raised:

@@ -70,6 +70,28 @@ def test_unsupported_condition_type_in_every_format(strategy):
     ]
 
 
+@pytest.mark.parametrize(
+    "text, at",
+    [
+        ("(VAR x)(RULES f(x) -> x | x == b)(STRATEGY CONTEXTSENSITIVE (f 1))", (1, 35)),
+        ("(VAR x)\n(STRATEGY CONTEXTSENSITIVE (f))\n(RULES f(x) -> x | x == b)", (2, 2)),
+        ("(CONDITIONTYPE ORIENTED)(RULES a -> b | c == c)(STRATEGY CONTEXTSENSITIVE)", (1, 49)),
+    ],
+    ids=["after-rules", "before-rules", "oriented"],
+)
+def test_conditional_rules_with_a_strategy_are_rejected(text, at):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    (diag,) = err.value.diagnostics
+    assert diag.message == "conditional rules cannot take a STRATEGY section"
+    assert (diag.line, diag.col) == at
+
+
+def test_unconditional_oriented_file_with_a_strategy_is_a_csrs():
+    problem = parse_problem("(CONDITIONTYPE ORIENTED)(RULES a -> b)(STRATEGY CONTEXTSENSITIVE)")
+    assert problem.kind == "csrs"
+
+
 def test_semi_equational_rejected():
     with pytest.raises(ParseError) as err:
         parse_problem("(CONDITIONTYPE SEMI-EQUATIONAL)\n(RULES a -> b)")
