@@ -9,7 +9,9 @@ witness), or fuel ran out first (unknown).
 
 A :class:`MuEngine` computes a term's steps from its arguments' steps and
 keeps those of every term it meets, subterms included, for its lifetime:
-they depend on the system alone, so the memo is never invalidated.
+they depend on the system alone, so the memo is never invalidated.  A term
+not in the memo is filled bottom-up from an explicit stack of its uncached
+active subterms, so stepping does not recurse once per term level.
 """
 
 from __future__ import annotations
@@ -97,26 +99,36 @@ class MuEngine:
         self._cache: dict[Term, tuple[ReductionStep, ...]] = {}
 
     def steps(self, s: Term) -> tuple[ReductionStep, ...]:
-        return self._steps(s)
-
-    def _steps(self, s: Term) -> tuple[ReductionStep, ...]:
-        # Recursion goes through here, not through ``steps``, so that calls
-        # of ``steps`` count only the terms callers asked about.
-        cached = self._cache.get(s)
+        # A miss fills the cache bottom-up from a stack of the active
+        # subterms not in it yet: a term is computed once its active
+        # arguments are cached, so no call recurses per term level.
+        cache = self._cache
+        cached = cache.get(s)
         if cached is not None:
             return cached
-        out: list[ReductionStep] = []
-        if isinstance(s, App):
-            for rule in self._rules_at.get(s.sym, ()):
-                sigma = match(rule.lhs, s)
-                if sigma is not None:
-                    rhs = apply_subst(rule.rhs, sigma)
-                    out.append(ReductionStep(s, rhs, ROOT, rule.id, sigma, KIND_MU))
-            if s.args:  # constants need no replacement-map entry
-                for i in self._active_indices(s.sym):
-                    out += lift_steps(s, i, self._steps(s.args[i - 1]))
-        cached = self._cache[s] = tuple(out)
-        return cached
+        todo = [s]
+        while todo:
+            t = todo[-1]
+            if t in cache:  # pushed twice, as f(u, u) pushes u
+                todo.pop()
+                continue
+            out: list[ReductionStep] = []
+            if t.__class__ is App:
+                active = self._active_indices(t.sym) if t.args else ()
+                missing = [t.args[i - 1] for i in active if t.args[i - 1] not in cache]
+                if missing:
+                    todo += missing
+                    continue
+                for rule in self._rules_at.get(t.sym, ()):
+                    sigma = match(rule.lhs, t)
+                    if sigma is not None:
+                        rhs = apply_subst(rule.rhs, sigma)
+                        out.append(ReductionStep(t, rhs, ROOT, rule.id, sigma, KIND_MU))
+                for i in active:
+                    out += lift_steps(t, i, cache[t.args[i - 1]])
+            cache[t] = tuple(out)
+            todo.pop()
+        return cache[s]
 
     def _active_indices(self, sym: FunSym) -> tuple[int, ...]:
         indices = self._active.get(sym)

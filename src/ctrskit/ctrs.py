@@ -24,7 +24,9 @@ position.  A result is stored only if the operation's work budget was not
 spent when it was complete, so no entry was cut short by the budget, and a
 later operation, with a fresh budget, recomputes what an earlier one could
 not finish.  A warm engine spends less on subproblems it has already solved,
-so it can finish where a fresh one runs out of budget.
+so it can finish where a fresh one runs out of budget.  The walks over a
+term's subterms keep explicit stacks; only condition searches nest, at most
+``max_level`` deep.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from operator import attrgetter
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .terms import (
     ROOT,
@@ -485,14 +487,39 @@ class ConditionalEngine:
     # -- internal search --------------------------------------------------
 
     def _has_syntactic_redex(self, t: Term) -> bool:
-        cached = self._redex_cache.get(t)
-        if cached is None:
-            cached = isinstance(t, App) and (
-                any(match(rule.lhs, t) is not None for rule in self._rules_at.get(t.sym, ()))
-                or any(self._has_syntactic_redex(arg) for arg in t.args)
-            )
-            self._redex_cache[t] = cached
-        return cached
+        """Whether a rule's left-hand side matches some subterm of ``t``.
+
+        A preorder walk that stops at the first match; the stack holds the
+        terms entered so far whose roots match no rule, each with its
+        arguments still to visit.  Every term decided is cached."""
+        cache = self._redex_cache
+        stack: list[tuple[App, Iterator[Term]]] = []
+        node = t
+        while True:
+            found = cache.get(node)
+            if found is None:
+                if node.__class__ is Var:
+                    found = cache[node] = False
+                elif any(
+                    match(rule.lhs, node) is not None for rule in self._rules_at.get(node.sym, ())
+                ):
+                    found = True
+                else:
+                    stack.append((node, iter(node.args)))
+            if found:
+                cache[node] = True
+                for entered, _ in stack:
+                    cache[entered] = True
+                return True
+            while stack:
+                entered, args = stack[-1]
+                node = next(args, None)
+                if node is not None:
+                    break
+                cache[entered] = False
+                stack.pop()
+            else:
+                return False
 
     def _rule_solutions(
         self, redex: Term, rule: ConditionalRule, budget: int
@@ -593,13 +620,50 @@ class ConditionalEngine:
         The root steps come first, then each argument's own (cached) steps
         lifted in argument order: a preorder walk, so the order is that of
         sorted positions.  Lifting is injective and keeps the order of
-        targets, so an argument's deduplicated, ordered steps stay so."""
+        targets, so an argument's deduplicated, ordered steps stay so.
+
+        The walk keeps a stack of open terms, not host recursion, and does
+        what the recursive definition would, in the same order: a term's
+        root steps when it is entered, then its arguments left to right,
+        each looked up in the cache when its turn comes; a term's result is
+        cached when it completes if the operation budget is not spent by
+        then.  Since condition searches charge the shared budget, this order
+        decides what is found when the budget binds."""
         key = (s, budget)
         cached = self._step_cache.get(key)
         if cached is not None:
             return cached
-        if isinstance(s, Var):
+        if s.__class__ is Var:
             return (), False
+        # Open terms: [term, steps so far, exhausted so far, arguments done].
+        stack = [[s, *self._root_steps(s, budget), 0]]
+        while True:
+            frame = stack[-1]
+            t, out, exhausted, i = frame
+            if i < len(t.args):
+                frame[3] = i = i + 1
+                arg = t.args[i - 1]
+                result = self._step_cache.get((arg, budget))
+                if result is None:
+                    if arg.__class__ is not Var:
+                        stack.append([arg, *self._root_steps(arg, budget), 0])
+                        continue
+                    result = (), False
+            else:
+                result = (tuple(out), exhausted)
+                if self._work <= self.fuel.max_steps:
+                    self._step_cache[t, budget] = result
+                stack.pop()
+                if not stack:
+                    return result
+                frame = stack[-1]
+                t, i = frame[0], frame[3]
+            frame[1] += lift_steps(t, i, result[0])
+            frame[2] = frame[2] or result[1]
+
+    def _root_steps(self, s: App, budget: int) -> tuple[list[ReductionStep], bool]:
+        """The steps of ``s`` at the root, one per (target, rule), ordered by
+        rule id and target, and whether a condition search was cut short."""
         root: dict[tuple, ReductionStep] = {}
         exhausted = False
         for rule in self._rules_at.get(s.sym, ()):
@@ -617,15 +681,7 @@ class ConditionalEngine:
                         kind=KIND_CONDITIONAL,
                         level=level,
                     )
-        out = sorted(root.values(), key=lambda st: (st.rule_id, _term_key(st.target)))
-        for i, arg in enumerate(s.args, start=1):
-            steps, arg_exhausted = self._successors(arg, budget)
-            exhausted = exhausted or arg_exhausted
-            out += lift_steps(s, i, steps)
-        result = (tuple(out), exhausted)
-        if self._work <= self.fuel.max_steps:
-            self._step_cache[key] = result
-        return result
+        return sorted(root.values(), key=lambda st: (st.rule_id, _term_key(st.target))), exhausted
 
     # -- public operations -------------------------------------------------
 
@@ -657,8 +713,18 @@ class ConditionalEngine:
 
 
 def _term_key(t: Term) -> tuple:
-    """A deterministic structural sort key (independent of hash seeds)."""
-    if isinstance(t, Var):
-        return (0, t.name)
-    return (1, t.sym.name, t.sym.arity) + tuple(_term_key(a) for a in t.args)
-
+    """A deterministic structural sort key (independent of hash seeds): the
+    flat preorder of ``t``'s nodes, ``0, name`` for a variable and ``1,
+    name, arity`` for an application.  Arities make it prefix-free, so it
+    orders terms as the nested key ``(1, name, arity, key(arg1), ...)``
+    would, without nesting."""
+    key: list = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is Var:
+            key += (0, node.name)
+        else:
+            key += (1, node.sym.name, node.sym.arity)
+            todo += reversed(node.args)
+    return tuple(key)

@@ -64,12 +64,11 @@ _RESERVED = ("->", "==")
 # stops where a reserved word starts.
 _TOKEN = re.compile(r"->|==|[(),|]|(?:(?!->|==)[^\s(),|])+")
 
-# Nodes on the longest root-to-leaf path of a parsed term.  Printing, the
-# ``subterms``, ``vars_of`` and ``fun_syms`` walks and the position sets take
-# any depth, but the parser, ``replace_at``, ``match``, ``apply_subst``, the
-# engines' step enumeration and the path orders recurse per level, so deeper
-# input gets a positioned diagnostic instead of exhausting the interpreter
-# stack.
+# Nodes on the longest root-to-leaf path of a parsed term.  The term
+# primitives and both engines walk terms on explicit stacks and take any
+# depth; only the parser and the path orders still recurse per level, so
+# deeper input gets a positioned diagnostic instead of exhausting the
+# interpreter stack.
 MAX_TERM_DEPTH = 256
 
 

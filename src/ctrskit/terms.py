@@ -13,6 +13,11 @@ arguments.  Variables and function symbols compare by value; symbols cache
 their hash, and since a parsed system shares its symbol objects, every
 symbol comparison tests identity first.
 Positions are 1-indexed integer tuples; the empty tuple is the root.
+
+No function here recurses once per term level.  Matching, substitution,
+replacement, printing and every subterm or position walk keep an explicit
+stack (the technique of flatterms, Christian, JAR 10, 1993), so terms of any
+depth can be walked whatever the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -176,8 +181,7 @@ def term_size(t: Term) -> int:
 
 
 def term_to_str(t: Term) -> str:
-    """Prefix rendering: ``f(a,b)``, constants and variables bare.  The walk
-    keeps an explicit stack, so that terms of any depth print."""
+    """Prefix rendering: ``f(a,b)``, constants and variables bare."""
     out: list[str] = []
     todo: list = [t]  # terms still to render and literal text still to emit
     while todo:
@@ -233,22 +237,25 @@ def subterm_at(t: Term, p: Position) -> Term:
 
 
 def replace_at(t: Term, p: Position, u: Term) -> Term:
-    """``t`` with the subterm at ``p`` replaced by ``u``."""
-    if not p:
-        return u
-    if isinstance(t, Var) or not 1 <= p[0] <= len(t.args):
-        raise InvalidPositionError(
-            f"position {format_position(p)} invalid in {term_to_str(t)}"
-        )
-    i = p[0]
-    new_args = t.args[: i - 1] + (replace_at(t.args[i - 1], p[1:], u),) + t.args[i:]
-    return App(t.sym, new_args)
+    """``t`` with the subterm at ``p`` replaced by ``u``: one walk down the
+    position, then one rebuild of the nodes on it, bottom-up."""
+    spine: list[App] = []
+    node = t
+    for depth, i in enumerate(p):
+        if node.__class__ is Var or not 1 <= i <= len(node.args):
+            raise InvalidPositionError(
+                f"position {format_position(p[depth:])} invalid in {term_to_str(node)}"
+            )
+        spine.append(node)
+        node = node.args[i - 1]
+    for node, i in zip(reversed(spine), reversed(p)):
+        u = App(node.sym, node.args[: i - 1] + (u,) + node.args[i:])
+    return u
 
 
 def subterms(t: Term) -> Iterator[Term]:
     """Every subterm of ``t`` in left-to-right preorder, ``t`` first; a
-    subterm that occurs at several positions is yielded at each.  The walk
-    keeps an explicit stack, so terms of any depth can be walked."""
+    subterm that occurs at several positions is yielded at each."""
     todo = [t]
     while todo:
         node = todo.pop()
@@ -276,31 +283,50 @@ def vars_of(objects: Union[Term, Iterable[Term]]) -> list[str]:
 def match(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
     """First-order matching: a substitution with ``pattern . sigma == subject``,
     or ``None``.  Non-linear patterns require equal bindings.
+
+    Pattern and subject are walked together on one stack; argument pairs are
+    pushed in reverse, so variables are bound in left-to-right order.
     """
     binding: dict[str, Term] = {}
-
-    def walk(pat: Term, sub: Term) -> bool:
-        if isinstance(pat, Var):
+    todo = [(pattern, subject)]
+    while todo:
+        pat, sub = todo.pop()
+        if pat.__class__ is Var:
             bound = binding.get(pat.name)
             if bound is None:
                 binding[pat.name] = sub
-                return True
-            return bound == sub
-        if isinstance(sub, Var) or (pat.sym is not sub.sym and pat.sym != sub.sym):
-            return False
-        return all(walk(p, s) for p, s in zip(pat.args, sub.args))
-
-    return binding if walk(pattern, subject) else None
+            elif bound != sub:
+                return None
+        elif sub.__class__ is Var or (pat.sym is not sub.sym and pat.sym != sub.sym):
+            return None
+        elif pat.args:
+            todo += zip(reversed(pat.args), reversed(sub.args))
+    return binding
 
 
 def apply_subst(t: Term, sigma: Subst) -> Term:
     """Simultaneous replacement of variables by their images under ``sigma``;
-    variables outside the domain stay put."""
-    if isinstance(t, Var):
+    variables outside the domain stay put.  Images are built bottom-up on a
+    stack: an application is visited once to push its arguments and once,
+    marked by ``None``, to build its image from theirs."""
+    if t.__class__ is Var:
         return sigma.get(t.name, t)
-    if not t.args:
-        return t
-    return App(t.sym, tuple(apply_subst(a, sigma) for a in t.args))
+    done: list[Term] = []  # images of the finished subterms, in order
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            node = todo.pop()
+            n = len(node.args)
+            done[-n:] = [App(node.sym, tuple(done[-n:]))]
+        elif node.__class__ is Var:
+            done.append(sigma.get(node.name, node))
+        elif node.args:
+            todo += (node, None)
+            todo += reversed(node.args)
+        else:
+            done.append(node)
+    return done[0]
 
 
 @dataclass(frozen=True)
@@ -337,8 +363,19 @@ def active_positions(t: Term, mu: ReplacementMap) -> set[Position]:
 
 
 def mu_proper_subterms(t: Term, mu: ReplacementMap) -> set[Term]:
-    """Subterms of ``t`` at active non-root positions."""
-    return {subterm_at(t, p) for p in active_positions(t, mu) if p}
+    """Subterms of ``t`` at active non-root positions, found in one walk down
+    the active indices; a subterm met again is not walked again."""
+    out: set[Term] = set()
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is App and node.args:  # constants need no entry
+            for i in mu.active_indices(node.sym):
+                arg = node.args[i - 1]
+                if arg not in out:
+                    out.add(arg)
+                    todo.append(arg)
+    return out
 
 
 def is_original(t: Term) -> bool:

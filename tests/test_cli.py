@@ -269,20 +269,63 @@ def test_prove_alarm_is_an_internal_error(monkeypatch, capsys):
 
 def test_crash_on_deep_term_is_an_internal_error(monkeypatch, capsys):
     # The parser rejects input deeper than MAX_TERM_DEPTH; a deeper term that
-    # reaches the engine anyway still overflows its recursive traversals.
+    # reaches the engine anyway rewrites, since the engines walk terms on
+    # explicit stacks.  A failure inside the engine is still an internal
+    # error, reported on one line.
     real = cli.parse_term
 
     def deep_term(text, problem):
         term, succ = real("0", problem), real("s(0)", problem).sym
-        for _ in range(3000):
+        for _ in range(5000):
             term = App(succ, (term,))
         return App(real("<(0,0)", problem).sym, (term, real("0", problem)))
 
     monkeypatch.setattr(cli, "parse_term", deep_term)
+    assert cli_main(["rewrite", corpus("bubble_sort"), "-t", "0"]) == 0
+    assert capsys.readouterr().out == "  <(" + "s(" * 5000 + "0" + ")" * 5000 + ",0) ->\n  false\n"
+
+    def overflow(self, s, budget):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(ck.ConditionalEngine, "_successors", overflow)
     assert cli_main(["rewrite", corpus("bubble_sort"), "-t", "0"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("internal error: RecursionError")
     assert len(err.splitlines()) == 1
+
+
+# Unconditional swapping loops: the trace stops where a term repeats.
+DEEP_TRS = "(VAR x y ys)\n(SIG (0 0) (s 1) (nil 0))\n(RULES\n  :(x,:(y,ys)) -> :(y,:(x,ys))\n)\n"
+
+
+@pytest.mark.parametrize("mode", ["ctrs", "mu", "trs"])
+def test_deep_term_rewrites(tmp_path, monkeypatch, capsys, mode):
+    # A redex 5,000 levels down, past the parser's cap: stepping lifts each
+    # reduct through every level, and the trace is the shallow one's, wrapped.
+    path = corpus("bubble_sort")
+    if mode == "trs":
+        path = tmp_path / "swap.trs"
+        path.write_text(DEEP_TRS)
+    argv = ["rewrite", str(path), "-t", ":(0,:(s(0),nil))"] + (["--mu"] if mode == "mu" else [])
+    assert cli_main(argv) == 0
+    shallow = capsys.readouterr().out.splitlines()
+    assert len(shallow) == {"ctrs": 2, "mu": 6, "trs": 3}[mode]
+    real = cli.parse_term
+
+    def deep_term(text, problem):
+        term, succ = real(text, problem), real("s(0)", problem).sym
+        for _ in range(5000):
+            term = App(succ, (term,))
+        return term
+
+    monkeypatch.setattr(cli, "parse_term", deep_term)
+    assert cli_main(argv) == 0
+    wrap = lambda body: "s(" * 5000 + body + ")" * 5000
+    expected = [
+        "  " + (wrap(line[2:-3]) + " ->" if line.endswith(" ->") else wrap(line[2:]))
+        for line in shallow
+    ]
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def _nested(depth: int) -> str:
