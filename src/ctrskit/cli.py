@@ -50,6 +50,17 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: rejecting here names the flag in the message."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_fuel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-level", type=int, default=DEFAULT_FUEL.max_level, help="condition discharge depth"
@@ -276,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="prove or refute quasi-decreasingness")
     p.add_argument("file")
-    p.add_argument("--seeds-size", type=int, default=DEFAULT_SEED_SIZE)
+    p.add_argument("--seeds-size", type=_positive_int, default=DEFAULT_SEED_SIZE)
     p.add_argument("--json", default=None)
     _add_fuel_flags(p)
     p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("check-witness", help="validate the witness order obligations")
     p.add_argument("file")
-    p.add_argument("--seeds-size", type=int, default=DEFAULT_SEED_SIZE)
+    p.add_argument("--seeds-size", type=_positive_int, default=DEFAULT_SEED_SIZE)
     p.add_argument("--json", default=None)
     _add_fuel_flags(p)
     p.set_defaults(func=_cmd_check_witness)
@@ -292,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory")
     p.add_argument("--json", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seeds-size", type=int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--seeds-size", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_experiment)
     return parser
 

@@ -12,6 +12,13 @@ keeps those of every term it meets, subterms included, for its lifetime:
 they depend on the system alone, so the memo is never invalidated.  A term
 not in the memo is filled bottom-up from an explicit stack of its uncached
 active subterms, so stepping does not recurse once per term level.
+
+Over many seeds, :func:`mu_terminating_on_seeds` settles each term's graph
+once.  A settled term reaches no cycle and no step past ``max_term_size``;
+the memo keeps its height and an upper bound on the terms it reaches.  A
+seed whose bound is at most ``max_steps`` gets exactly the answer
+``explore`` would give, without a search; only the other seeds are
+explored.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .terms import (
     apply_subst,
     is_original,
     match,
+    term_size,
     term_to_str,
 )
 from .unravel import Csrs
@@ -186,14 +194,29 @@ def mu_terminating_on_seeds(
     fuel: Fuel = DEFAULT_FUEL,
 ) -> MuVerdict:
     """Aggregate exploration over seed terms, on one engine; a loop anywhere
-    dominates, then fuel exhaustion, then termination with the maximal depth."""
+    dominates, then fuel exhaustion, then termination with the maximal depth.
+
+    A memo that lives for this call maps each settled term, one whose whole
+    reachable graph is known to be acyclic with every step within
+    ``max_term_size``, to its height and an upper bound on its reachable
+    nodes.  A seed whose bound is at most ``max_steps`` is answered from the
+    memo: ``explore`` would expand every node, drop no edge, find no cycle
+    and return that height.  Every other seed goes through ``explore``, so
+    loops, their witnesses and unknowns are exactly as ``explore`` gives
+    them.
+    """
     for seed in seeds:
         if not is_original(seed):
             raise ValueError(f"seed {term_to_str(seed)} contains unraveling symbols")
     eng = MuEngine(system)
+    settled: dict[Term, tuple[int, int]] = {}
     max_depth = 0
     any_unknown = False
     for seed in seeds:
+        known = settled.get(seed) or _settle(seed, eng, fuel, settled)
+        if known is not None and known[1] <= fuel.max_steps:
+            max_depth = max(max_depth, known[0])
+            continue
         _, verdict = explore(seed, system, fuel, engine=eng)
         if verdict.is_loop:
             return verdict
@@ -204,6 +227,65 @@ def mu_terminating_on_seeds(
     if any_unknown:
         return MuVerdict.unknown(fuel)
     return MuVerdict.terminates_within(max_depth)
+
+
+def _settle(
+    seed: Term, eng: MuEngine, fuel: Fuel, settled: dict[Term, tuple[int, int]]
+) -> Optional[tuple[int, int]]:
+    """Settle ``seed`` and the unsettled terms it reaches into ``settled``,
+    each as (height, reach bound), and return the seed's entry; None when
+    the seed cannot be settled within ``fuel``.
+
+    A breadth-first walk lists the unsettled part of the graph: it gives up
+    once it lists more than ``max_steps`` terms, which ``explore`` could not
+    all expand, or at a step whose target exceeds ``max_term_size``.  A post-order walk with an explicit stack then
+    settles the listed terms, and gives up at the first back edge: a term
+    that finished before it reaches no cycle, so it stays settled.  A
+    term's bound is 1 plus the sum of its distinct successors' bounds,
+    capped at ``max_steps + 1``: shared terms count once per path, so it
+    never undercounts.
+    """
+    if not eng.steps(seed):  # a normal form, as most seeds are
+        settled[seed] = (0, 1)
+        return settled[seed]
+    succ: dict[Term, tuple[Term, ...]] = {seed: ()}  # listed -> distinct successors
+    queue = [seed]
+    for t in queue:  # grows while it is walked
+        targets = tuple(dict.fromkeys([step.target for step in eng.steps(t)]))
+        for u in targets:
+            if term_size(u) > fuel.max_term_size:
+                return None
+            if u not in succ and u not in settled:
+                succ[u] = ()
+                queue.append(u)
+        if len(queue) > fuel.max_steps:
+            return None
+        succ[t] = targets
+
+    cap = fuel.max_steps + 1
+    on_path = {seed}
+    stack = [(seed, iter(succ[seed]))]
+    while stack:
+        t, todo = stack[-1]
+        for u in todo:
+            if u in settled:
+                continue
+            if u in on_path:
+                return None
+            on_path.add(u)
+            stack.append((u, iter(succ[u])))
+            break
+        else:
+            stack.pop()
+            on_path.discard(t)
+            height, bound = 0, 1
+            for u in succ[t]:
+                h, b = settled[u]
+                if h >= height:
+                    height = h + 1
+                bound += b
+            settled[t] = (height, min(bound, cap))
+    return settled[seed]
 
 
 def enumerate_original_terms(signature: Sequence[FunSym], max_size: int) -> list[Term]:

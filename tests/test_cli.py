@@ -247,6 +247,31 @@ def test_experiment_empty_dir(tmp_path, capsys):
     assert "YES=0 NO=0 MAYBE=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["prove", "check-witness", "experiment"])
+def test_seeds_size_must_be_positive(tmp_path, capsys, command):
+    target = str(CORPUS) if command == "experiment" else corpus("less")
+    out = tmp_path / "out.json"
+    code = cli_main([command, target, "--seeds-size", "0", "--json", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "argument --seeds-size: must be a positive integer, got 0" in err
+    assert "max_size" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_experiment_workers_must_be_positive(tmp_path, capsys, value):
+    # Used to run serially and exit 0, while the same value in a config
+    # file is an input error.
+    out = tmp_path / "report.json"
+    code = cli_main(["experiment", str(CORPUS), "--workers", value, "--json", str(out)])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"argument --workers: must be a positive integer, got {value}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_prove_alarm_is_an_internal_error(monkeypatch, capsys):
     # A fake loop on `less`, which a precedence orients: both methods answer.
     self_loop = ck.parse_ctrs((CORPUS / "self_loop.ctrs").read_text(), "self_loop")

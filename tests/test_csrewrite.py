@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from conftest import full_map, load_system, spy_rule_matches, term_of
+from conftest import CORPUS, full_map, load_system, spy_rule_matches, term_of
+from test_checker import _random_dctrs
 from test_step_oracle import reference_full_steps
 
 import ctrskit as ck
@@ -138,6 +141,83 @@ def test_loop_verdict_precedence():
     assert ck.is_original(start)
     terms = verdict.witness.terms()
     assert terms[-1] in terms[:-1]
+
+
+def explore_each_seed(seeds, cs, fuel):
+    """The aggregate of one ``explore`` per seed on a shared engine: the
+    reference that the memo of settled terms must reproduce exactly."""
+    engine = MuEngine(cs)
+    max_depth, any_unknown = 0, False
+    for seed in seeds:
+        _, verdict = explore(seed, cs, fuel, engine=engine)
+        if verdict.is_loop:
+            return verdict
+        if verdict.outcome == "unknown":
+            any_unknown = True
+        else:
+            max_depth = max(max_depth, verdict.bound)
+    if any_unknown:
+        return MuVerdict.unknown(fuel)
+    return MuVerdict.terminates_within(max_depth)
+
+
+BINDING_FUELS = [
+    Fuel(),
+    Fuel(max_steps=1),
+    Fuel(max_steps=3),
+    Fuel(max_steps=10),
+    Fuel(max_steps=40, max_term_size=6),
+    Fuel(max_term_size=3),
+]
+
+
+def assert_same_verdict(seeds, cs, fuel):
+    got, want = mu_terminating_on_seeds(seeds, cs, fuel), explore_each_seed(seeds, cs, fuel)
+    # Equal verdicts have equal strings, bounds and witnesses, step by step.
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CORPUS.glob("*.ctrs")))
+def test_settled_memo_equals_explore_on_the_corpus(name):
+    cs = unravel_cs(load_system(name))
+    for size in (3, 5):
+        seeds = enumerate_original_terms(cs.signature, size)
+        for fuel in BINDING_FUELS:
+            assert_same_verdict(seeds, cs, fuel)
+
+
+def test_settled_memo_equals_explore_on_random_systems():
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(60):
+        cs = unravel_cs(_random_dctrs(rng))
+        seeds = enumerate_original_terms(cs.signature, 3)
+        for fuel in (Fuel(max_steps=3), Fuel(max_steps=10), Fuel(max_steps=30, max_term_size=8)):
+            outcomes.add(assert_same_verdict(seeds, cs, fuel).outcome)
+    assert outcomes == {"terminates", "loop", "unknown"}
+
+
+@pytest.mark.parametrize(
+    "name, size, fewest, most",
+    [("bubble_sort", 5, 0, 0), ("two_step_loop", 3, 1, 1), ("fib_pairs", 6, 1, 10)],
+)
+def test_only_unsettled_seeds_reach_explore(monkeypatch, name, size, fewest, most):
+    # A seed goes to explore only when the memo cannot settle it within fuel:
+    # a loop, an unknown, or a reach bound above max_steps.  A memo that fell
+    # back for every seed would make 852, 3 and 373 calls here.
+    cs = unravel_cs(load_system(name))
+    seeds = enumerate_original_terms(cs.signature, size)
+    calls = []
+    real = csrewrite.explore
+
+    def counting_explore(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csrewrite, "explore", counting_explore)
+    mu_terminating_on_seeds(seeds, cs)
+    assert fewest <= len(calls) <= most
 
 
 def test_enumerate_original_terms(bubble):
