@@ -62,15 +62,12 @@ def _positive_int(text: str) -> int:
 
 
 def _add_fuel_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-level", type=int, default=DEFAULT_FUEL.max_level, help="condition discharge depth"
-    )
-    parser.add_argument(
-        "--max-steps", type=int, default=DEFAULT_FUEL.max_steps, help="node expansions per search"
-    )
-    parser.add_argument(
-        "--max-term-size", type=int, default=DEFAULT_FUEL.max_term_size, help="term size cap"
-    )
+    for flag, default, text in (
+        ("--max-level", DEFAULT_FUEL.max_level, "condition discharge depth"),
+        ("--max-steps", DEFAULT_FUEL.max_steps, "node expansions per search"),
+        ("--max-term-size", DEFAULT_FUEL.max_term_size, "term size cap"),
+    ):
+        parser.add_argument(flag, type=_positive_int, default=default, help=text)
 
 
 def _fuel_from(args: argparse.Namespace) -> Fuel:

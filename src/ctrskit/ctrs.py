@@ -221,12 +221,13 @@ KIND_CONDITIONAL = "conditional"
 KIND_MU = "mu"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One rewrite step, kept as a checkable certificate.
 
-    Equality compares every field, the substitution, kind and level
-    included.  Steps are unhashable, because the substitution is a dict.
+    A step is a tuple of its fields, so it is iterable, immutable, and equal
+    to a plain tuple of the same fields.  Equality compares every field, the
+    substitution, kind and level included.  Steps are unhashable, because
+    the substitution is a dict.
     """
 
     source: Term
@@ -283,10 +284,12 @@ class Reduction:
         return " -> ".join(term_to_str(t) for t in self.terms())
 
 
-def lift_steps(s: App, i: int, steps: Iterable[ReductionStep]) -> list[ReductionStep]:
+def lift_steps(s: App, i: int, steps: Sequence[ReductionStep]) -> list[ReductionStep]:
     """The steps of argument ``i`` of ``s`` as steps of ``s``: each moves to
     position ``(i,) + p`` and targets ``s`` with that argument rewritten;
     rule, substitution, kind and level stay."""
+    if not steps:
+        return []
     sym, before, after = s.sym, s.args[: i - 1], s.args[i:]
     return [
         ReductionStep(

@@ -5,8 +5,13 @@ replacement-map-aware (active-position) traversal.
 Applications are hash-consed: a weak table maps each symbol and argument
 tuple to the one live application built from them, so equal terms are the
 same object.  Equality and hashing are by identity, which makes dict and set
-lookups (loop detection, the engines' caches) cost no walk of the term; the
-table holds its entries weakly, so terms nobody references are freed.  An
+lookups (loop detection, the engines' caches) cost no walk of the term.  The
+table is a plain dict from ``(sym, args)`` to a weak reference to the node
+that also holds its key (weak hash-consing: Filliâtre & Conchon, ML Workshop
+2006), so terms nobody references are freed.  When a node dies, the
+reference's callback deletes its entry with ``_weakref._remove_dead_weakref``,
+which does so atomically and only while the entry is still dead; it takes no
+lock, since a collection inside the intern lock's section can run it.  An
 application computes its size and whether it is original (free of
 unraveling symbols) once, at construction, from the same attributes of its
 arguments.  Variables and function symbols compare by value; symbols cache
@@ -25,6 +30,7 @@ from __future__ import annotations
 import re
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
@@ -107,8 +113,13 @@ class App:
 
     Applications are interned: constructing one that equals a live
     application returns that object, so equality and hashing are by
-    identity.  The node count and the original flag are computed once, from
-    the arguments' cached values.  Nodes are immutable.
+    identity.  A hit is a ``dict.get`` and a call of the stored weak
+    reference, without the lock; a miss takes the lock, checks again and
+    registers the node.  When the node dies, ``_forget`` drops its entry
+    with an atomic C helper instead of under the lock, since a collection
+    inside the locked section can run it.  The node count and the original
+    flag are computed once, from the arguments' cached values.  Nodes are
+    immutable.
     """
 
     __slots__ = ("sym", "args", "_size", "_original", "__weakref__")
@@ -117,15 +128,20 @@ class App:
 
     def __new__(cls, sym: FunSym, args: tuple["Term", ...] = ()) -> "App":
         key = (sym, args)
-        node = _interned.get(key)
-        if node is not None:
-            return node
-        # Lookup, build and register must be one step: two equal but distinct
-        # nodes would break non-linear matching and loop detection.
-        with _intern_lock:
-            node = _interned.get(key)
+        ref = _interned.get(key)
+        if ref is not None:
+            node = ref()
             if node is not None:
                 return node
+        # Lookup, build and register must be one step: two equal but distinct
+        # nodes would break non-linear matching and loop detection.  A dead
+        # reference whose callback has not run yet is overwritten.
+        with _intern_lock:
+            ref = _interned.get(key)
+            if ref is not None:
+                node = ref()
+                if node is not None:
+                    return node
             if len(args) != sym.arity:
                 raise ValueError(
                     f"{sym.name} has arity {sym.arity}, got {len(args)} arguments"
@@ -142,7 +158,9 @@ class App:
             object.__setattr__(node, "args", args)
             object.__setattr__(node, "_size", size)
             object.__setattr__(node, "_original", original)
-            _interned[key] = node
+            ref = _Entry(node, _forget)
+            ref.key = key
+            _interned[key] = ref
             return node
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -163,9 +181,27 @@ class App:
         return term_to_str(self)
 
 
-# The intern table: (symbol, arguments) -> the live application built from
-# them.  Entries vanish with their application.
-_interned: "weakref.WeakValueDictionary[tuple, App]" = weakref.WeakValueDictionary()
+class _Entry(weakref.ref):
+    """A weak reference to an interned application that records its key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Entry) -> None:
+    """Drop the table entry of a dead application.
+
+    A collection triggered inside ``App.__new__``'s locked section can run
+    this, so it must not take the lock, which is not reentrant.  Nor may it
+    look the entry up and then delete it: in between, another thread may
+    register a live node under the key.  ``_remove_dead_weakref`` deletes
+    in C, atomically, and only if the entry is still a dead reference.
+    """
+    _remove_dead_weakref(_interned, ref.key)
+
+
+# The intern table: (symbol, arguments) -> a weak reference to the live
+# application built from them.  Entries vanish with their application.
+_interned: dict[tuple, _Entry] = {}
 _intern_lock = threading.Lock()
 
 Term = Union[Var, App]

@@ -272,6 +272,25 @@ def test_experiment_workers_must_be_positive(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prove", corpus("less"), "--max-level", "0"],
+        ["prove", corpus("less"), "--max-steps", "0"],
+        ["prove", corpus("less"), "--max-term-size", "0"],
+        ["rewrite", corpus("less"), "-t", "<(0,s(0))", "--max-steps", "0"],
+    ],
+    ids=["prove-max-level", "prove-max-steps", "prove-max-term-size", "rewrite-max-steps"],
+)
+def test_fuel_flags_must_be_positive(capsys, argv):
+    # Used to reach Fuel's own check, whose message names no flag.
+    assert cli_main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"argument {argv[-2]}: must be a positive integer, got 0" in captured.err
+    assert "fuel bounds" not in captured.err
+    assert captured.out == ""
+
+
 def test_prove_alarm_is_an_internal_error(monkeypatch, capsys):
     # A fake loop on `less`, which a precedence orients: both methods answer.
     self_loop = ck.parse_ctrs((CORPUS / "self_loop.ctrs").read_text(), "self_loop")

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -273,3 +274,83 @@ def test_reduction_chaining_validated(bubble):
     red, _ = ConditionalEngine(bubble).reachable(t, true)
     with pytest.raises(ValueError):
         ck.Reduction(true, red.steps)  # steps do not start at `true`
+
+
+# -- ReductionStep as a record ------------------------------------------------
+
+# The terms are built per call: a module-level term would stay interned for
+# the whole session, and equal terms built elsewhere would then share its
+# symbol objects.
+def _step_terms():
+    lt, s, zero = FunSym("<", 2), FunSym("s", 1), App(FunSym("0", 0))
+    source = App(lt, (App(s, (zero,)), App(s, (Var("y"),))))
+    return source, App(lt, (zero, Var("y"))), zero
+
+
+def _step(**changes):
+    source, target, zero = _step_terms()
+    fields = dict(
+        source=source,
+        target=target,
+        position=(),
+        rule_id="r3",
+        subst={"x": zero, "y": Var("y")},
+        kind="mu",
+        level=2,
+    )
+    fields.update(changes)
+    return ctrs.ReductionStep(**fields)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("subst", {"x": Var("x")}), ("kind", "conditional"), ("level", 3)]
+)
+def test_steps_differing_in_one_field_are_unequal(field, value):
+    assert _step() == _step()
+    assert _step() != _step(**{field: value})
+
+
+def test_steps_are_immutable_and_unhashable():
+    step = _step()
+    with pytest.raises(TypeError):
+        hash(step)
+    with pytest.raises(AttributeError):
+        step.level = 3
+    with pytest.raises(AttributeError):
+        step.note = "x"
+
+
+def test_step_defaults_and_pickle_round_trip():
+    source, _, zero = _step_terms()
+    step = ctrs.ReductionStep(source=source, target=zero, position=(2, 1), rule_id="r1", subst={})
+    assert step.kind == "conditional" and step.level is None
+    assert pickle.loads(pickle.dumps(step)) == step
+    assert pickle.loads(pickle.dumps(_step())) == _step()
+
+
+def test_step_is_a_tuple_of_its_fields():
+    step = _step()
+    assert step == tuple(step)
+    assert list(step) == [step.source, step.target, (), "r3", step.subst, "mu", 2]
+
+
+def test_step_str_and_repr_are_unchanged():
+    # Both strings as printed before steps became tuples.
+    assert str(_step()) == "<(s(0),s(y)) -> <(0,y) [r3 @ e]"
+    zero_repr = "App(sym=FunSym(name='0', arity=0), args=())"
+    source_repr = (
+        "App(sym=FunSym(name='<', arity=2), args=(App(sym=FunSym(name='s', arity=1), "
+        f"args=({zero_repr},)), App(sym=FunSym(name='s', arity=1), args=(Var(name='y'),))))"
+    )
+    assert repr(_step()) == (
+        f"ReductionStep(source={source_repr}, target=App(sym=FunSym(name='<', arity=2), "
+        f"args=({zero_repr}, Var(name='y'))), position=(), rule_id='r3', "
+        f"subst={{'x': {zero_repr}, 'y': Var(name='y')}}, kind='mu', level=2)"
+    )
+    source, _, zero = _step_terms()
+    step = ctrs.ReductionStep(source, zero, (2, 1), "r1", {})
+    assert str(step) == "<(s(0),s(y)) -> 0 [r1 @ 2.1]"
+    assert repr(step) == (
+        f"ReductionStep(source={source_repr}, target={zero_repr}, position=(2, 1), rule_id='r1', "
+        "subst={}, kind='conditional', level=None)"
+    )

@@ -1,4 +1,5 @@
 import copy
+import gc
 import os
 import pickle
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import SMALL_SIG, load_problem, term_of, terms_over
 
 import ctrskit as ck
+from ctrskit import terms
 from ctrskit.terms import (
     App,
     FunSym,
@@ -355,6 +357,98 @@ def test_threads_building_equal_terms_get_one_object():
         for w in workers:
             w.join(timeout=120)
     finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(w.is_alive() for w in workers)
+    assert all(r is not None and len(r) == slots for r in results)
+    for i in range(slots):
+        assert all(r[i] is results[0][i] for r in results[1:])
+
+
+def test_dead_terms_leave_the_intern_table():
+    gc.collect()
+    baseline = len(terms._interned)
+    pair = FunSym("drop_pair", 2)
+    leaves = [App(FunSym(f"drop_{i}", 0)) for i in range(100)]
+    fresh = [App(pair, (x, y)) for x in leaves for y in leaves]
+    assert len(terms._interned) == baseline + 100 + 10_000
+    del fresh, leaves
+    gc.collect()
+    assert len(terms._interned) == baseline
+
+
+def test_a_term_built_after_its_twin_died_is_interned_again():
+    f = FunSym("again_f", 1)
+    key = (f, (zero,))
+    t = App(f, (zero,))
+    stale = terms._interned[key]
+    del t
+    gc.collect()
+    assert stale() is None and key not in terms._interned
+    assert App(f, (zero,)) is App(f, (zero,))
+    # A dead reference whose callback has not run yet, as between the two
+    # within a collection, is replaced, never returned.
+    terms._interned[key] = stale
+    u = App(f, (zero,))
+    assert u.__class__ is App and u is App(f, (zero,))
+    assert terms._interned[key]() is u
+
+
+def test_a_late_callback_keeps_the_live_entry():
+    f = FunSym("late_f", 1)
+    key = (f, (zero,))
+    t = App(f, (zero,))
+    stale = terms._interned[key]
+    del t
+    gc.collect()
+    u = App(f, (zero,))
+    # The dead twin's callback, run after an equal term took the key.
+    terms._forget(stale)
+    assert terms._interned[key]() is u
+    assert App(f, (zero,)) is u
+
+
+def test_collections_inside_the_intern_lock_neither_deadlock_nor_split_terms():
+    # Every worker drops reference cycles that hold fresh terms.  Collecting
+    # at nearly every allocation kills those terms, and runs their callbacks,
+    # inside the locked section of other constructions, where a callback
+    # that took the (non-reentrant) lock would deadlock.
+    a, g, h = FunSym("gc_a", 0), FunSym("gc_g", 1), FunSym("gc_h", 1)
+    f = FunSym("gc_f", 2)
+    slots, threads = 300, 4
+    junk = [FunSym(f"gc_junk_{k}", 1) for k in range(threads)]
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+
+    def slot_term(i):
+        t = App(a)
+        for bit in format(i, "b"):
+            t = App(g if bit == "1" else h, (t,))
+        return App(f, (t, t))
+
+    def build(k):
+        barrier.wait(timeout=60)
+        out = []
+        for i in range(slots):
+            t = slot_term(i)
+            box = [App(junk[k], (t,))]
+            box.append(box)
+            del box
+            out.append(t)
+        results[k] = out
+
+    old_threshold, old_interval = gc.get_threshold(), sys.getswitchinterval()
+    gc.set_threshold(1)
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=build, args=(k,), daemon=True) for k in range(threads)
+        ]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        gc.set_threshold(*old_threshold)
         sys.setswitchinterval(old_interval)
     assert not any(w.is_alive() for w in workers)
     assert all(r is not None and len(r) == slots for r in results)
