@@ -19,10 +19,12 @@ prover for quasi-decreasingness.
   term; MAYBE otherwise.  Both methods always run, and the experiment runner
   takes its verdicts from this prover.
 
-Every search here goes through the two primitives of :mod:`ctrskit.ctrs`:
-the bounded breadth-first search ``bfs`` (simulating reductions, the
-witness-order graph and its per-source reachability) and the depth-first
-cycle finder ``dfs`` (the well-foundedness obligation).
+Every bounded search here goes through the two primitives of
+:mod:`ctrskit.ctrs`: the breadth-first search ``bfs`` (simulating
+reductions and the witness-order graph) and the depth-first cycle finder
+``dfs`` (the well-foundedness obligation).  Per-source reachability in the
+finished witness-order graph needs no budget, goal or edge record, so it is
+a plain closure walk over the successor lists, in ``bfs``'s order.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ from .terms import (
     App,
     Term,
     active_positions,
+    admits,
     apply_subst,
+    arg_guard,
     is_original,
     match,
     mu_proper_subterms,
@@ -341,6 +345,19 @@ def _combined_graph(
     return list(search.reached), succ, search.exhausted
 
 
+def _closure(starts: Sequence[Term], succ: dict[Term, list[Term]]) -> dict[Term, None]:
+    """The nodes reachable from ``starts`` in ``succ``, the starts included,
+    as dict keys in breadth-first order: the order ``bfs`` reaches them in."""
+    reached = dict.fromkeys(starts)
+    queue = list(reached)
+    for t in queue:  # grows while it is walked
+        for u in succ.get(t, ()):
+            if u not in reached:
+                reached[u] = None
+                queue.append(u)
+    return reached
+
+
 def validate_witness_order(
     system: Dctrs, seeds: Sequence[Term], fuel: Fuel = DEFAULT_FUEL
 ) -> WitnessOrderReport:
@@ -385,15 +402,14 @@ def validate_witness_order(
         k = next(j for j, t in enumerate(cycle) if is_original(t))
         ob1.failures.append(" > ".join(term_to_str(t) for t in cycle[k:-1] + cycle[: k + 1]))
 
-    # Sampled pairs and per-source reachability: a full BFS from the
-    # successors of each source, so only nonempty paths count.  The pair list
-    # is capped, the reachability sets are not.
+    # Sampled pairs and per-source reachability: the closure of the finished
+    # successor lists from the successors of each source, so only nonempty
+    # paths count, in breadth-first order.  The pair list is capped, the
+    # reachability sets are not.
     reach: dict[Term, dict] = {}
     sampled_pairs: list[tuple[Term, Term]] = []
     for source in original_nodes:
-        reach[source] = bfs(
-            succ.get(source, ()), lambda t: succ.get(t, ()), lambda: True, target=_itself
-        ).reached
+        reach[source] = _closure(succ.get(source, ()), succ)
         if len(sampled_pairs) < MAX_PAIRS:
             for target in reach[source]:
                 if is_original(target):
@@ -452,11 +468,14 @@ def validate_witness_order(
     chain_instances: list[dict] = []
     for rule in system.conditional_rules:
         generated = unravel_rule(rule)
+        root, guard = rule.lhs.sym, arg_guard(rule.lhs)
         instances = 0
         for source in original_nodes:
             if instances >= MAX_RULE_INSTANCES:
                 break
-            sigma0 = match(rule.lhs, source)
+            if source.__class__ is not App or source.sym is not root:
+                continue
+            sigma0 = match(rule.lhs, source) if admits(guard, source.args) else None
             if sigma0 is None:
                 continue
             for i in range(len(rule.conditions)):

@@ -16,9 +16,9 @@ active subterms, so stepping does not recurse once per term level.
 Over many seeds, :func:`mu_terminating_on_seeds` settles each term's graph
 once.  A settled term reaches no cycle and no step past ``max_term_size``;
 the memo keeps its height and an upper bound on the terms it reaches.  A
-seed whose bound is at most ``max_steps`` gets exactly the answer
-``explore`` would give, without a search; only the other seeds are
-explored.
+seed whose bound, or else whose exact count of reachable terms, is at most
+``max_steps`` gets exactly the answer ``explore`` would give, without a
+search; only the other seeds are explored.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .ctrs import (
     bfs,
     dfs,
     expansion_budget,
+    guarded_rules_by_root,
     lift_steps,
-    rules_by_root,
     within_size,
 )
 from .terms import (
@@ -45,6 +45,7 @@ from .terms import (
     App,
     FunSym,
     Term,
+    admits,
     apply_subst,
     is_original,
     match,
@@ -97,12 +98,13 @@ class MuEngine:
 
     A term's steps are its root steps, rules in ``rules_by_root`` order, then
     each active argument's memoized steps lifted in ascending argument order:
-    a preorder walk, so positions come out in sorted order.
+    a preorder walk, so positions come out in sorted order.  A rule whose
+    argument guard clashes with the term's arguments is skipped unmatched.
     """
 
     def __init__(self, system: Csrs):
         self.system = system
-        self._rules_at = rules_by_root(system.rules)
+        self._rules_at = guarded_rules_by_root(system.rules)
         self._active: dict[FunSym, tuple[int, ...]] = {}
         self._cache: dict[Term, tuple[ReductionStep, ...]] = {}
 
@@ -127,7 +129,9 @@ class MuEngine:
                 if missing:
                     todo += missing
                     continue
-                for rule in self._rules_at.get(t.sym, ()):
+                for rule, guard in self._rules_at.get(t.sym, ()):
+                    if not admits(guard, t.args):
+                        continue
                     sigma = match(rule.lhs, t)
                     if sigma is not None:
                         rhs = apply_subst(rule.rhs, sigma)
@@ -199,11 +203,12 @@ def mu_terminating_on_seeds(
     A memo that lives for this call maps each settled term, one whose whole
     reachable graph is known to be acyclic with every step within
     ``max_term_size``, to its height and an upper bound on its reachable
-    nodes.  A seed whose bound is at most ``max_steps`` is answered from the
-    memo: ``explore`` would expand every node, drop no edge, find no cycle
-    and return that height.  Every other seed goes through ``explore``, so
-    loops, their witnesses and unknowns are exactly as ``explore`` gives
-    them.
+    nodes.  A settled seed whose bound, or else its count of reachable terms
+    over the engine's memoized steps, is at most ``max_steps`` is answered
+    from the memo: ``explore`` would expand every node, drop no edge, find
+    no cycle and return that height.  Every other seed goes through
+    ``explore``, so loops, their witnesses and unknowns are exactly as
+    ``explore`` gives them.
     """
     for seed in seeds:
         if not is_original(seed):
@@ -214,7 +219,10 @@ def mu_terminating_on_seeds(
     any_unknown = False
     for seed in seeds:
         known = settled.get(seed) or _settle(seed, eng, fuel, settled)
-        if known is not None and known[1] <= fuel.max_steps:
+        if known is not None and (
+            known[1] <= fuel.max_steps
+            or not bfs([seed], eng.steps, expansion_budget(fuel.max_steps)).exhausted
+        ):
             max_depth = max(max_depth, known[0])
             continue
         _, verdict = explore(seed, system, fuel, engine=eng)

@@ -40,11 +40,14 @@ from .terms import (
     ROOT,
     App,
     FunSym,
+    Guard,
     Position,
     Subst,
     Term,
     Var,
+    admits,
     apply_subst,
+    arg_guard,
     format_position,
     fun_syms,
     match,
@@ -452,6 +455,16 @@ def rules_by_root(rules: Iterable[Any]) -> dict[FunSym, tuple[Any, ...]]:
     return {sym: tuple(group) for sym, group in index.items()}
 
 
+def guarded_rules_by_root(rules: Iterable[Any]) -> dict[FunSym, tuple[tuple[Any, Guard], ...]]:
+    """:func:`rules_by_root` with each rule paired with the :func:`arg_guard`
+    of its left-hand side, so that a rule whose arguments clash with a
+    redex's is skipped without matching."""
+    return {
+        sym: tuple((rule, arg_guard(rule.lhs)) for rule in group)
+        for sym, group in rules_by_root(rules).items()
+    }
+
+
 def _subst_key(sigma: Subst) -> tuple:
     return tuple(sorted(sigma.items(), key=lambda kv: kv[0]))
 
@@ -467,7 +480,7 @@ class ConditionalEngine:
     def __init__(self, system: Dctrs, fuel: Fuel = DEFAULT_FUEL):
         self.system = system
         self.fuel = fuel
-        self._rules_at = rules_by_root(system.rules)
+        self._rules_at = guarded_rules_by_root(system.rules)
         # (subterm, rule_id, budget) -> (solutions, exhausted)
         self._rule_cache: dict[tuple, tuple[tuple[tuple[dict, int], ...], bool]] = {}
         # (term, budget) -> (reduct closure in BFS order, exhausted)
@@ -504,7 +517,8 @@ class ConditionalEngine:
                 if node.__class__ is Var:
                     found = cache[node] = False
                 elif any(
-                    match(rule.lhs, node) is not None for rule in self._rules_at.get(node.sym, ())
+                    admits(guard, node.args) and match(rule.lhs, node) is not None
+                    for rule, guard in self._rules_at.get(node.sym, ())
                 ):
                     found = True
                 else:
@@ -537,6 +551,10 @@ class ConditionalEngine:
         closure at every level; and if every condition closure at level
         ``L - 1`` is unflagged, it equals the closure at every level, so the
         level-``L`` solutions, and the steps and closures built on them, are final.
+
+        So the level loop stops at the first level ``L`` whose condition
+        searches, at level ``L - 1``, saturated: higher levels would find
+        the same solutions, whose minimal levels are already recorded.
         """
         sigma0 = match(rule.lhs, redex)
         if sigma0 is None:
@@ -556,6 +574,8 @@ class ConditionalEngine:
             found, exhausted = self._solve_conditions(rule.conditions, sigma0, level - 1)
             for sigma in found:
                 solutions.setdefault(_subst_key(sigma), (sigma, level))
+            if not exhausted:
+                break
         result = (tuple(solutions.values()), exhausted)
         if self._work <= self.fuel.max_steps:
             # Results truncated by the operation budget are not cached: a
@@ -669,7 +689,9 @@ class ConditionalEngine:
         rule id and target, and whether a condition search was cut short."""
         root: dict[tuple, ReductionStep] = {}
         exhausted = False
-        for rule in self._rules_at.get(s.sym, ()):
+        for rule, guard in self._rules_at.get(s.sym, ()):
+            if not admits(guard, s.args):
+                continue
             solutions, rule_exhausted = self._rule_solutions(s, rule, budget)
             exhausted = exhausted or rule_exhausted
             for sigma, level in solutions:

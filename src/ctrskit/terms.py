@@ -14,9 +14,10 @@ which does so atomically and only while the entry is still dead; it takes no
 lock, since a collection inside the intern lock's section can run it.  An
 application computes its size and whether it is original (free of
 unraveling symbols) once, at construction, from the same attributes of its
-arguments.  Variables and function symbols compare by value; symbols cache
-their hash, and since a parsed system shares its symbol objects, every
-symbol comparison tests identity first.
+arguments.  Function symbols are interned too, in a weak table keyed by
+name and arity, so two symbols are equal exactly when they are the same
+object and both symbols and applications hash by identity.  Variables
+compare by value.
 Positions are 1-indexed integer tuples; the empty tuple is the root.
 
 No function here recurses once per term level.  Matching, substitution,
@@ -31,7 +32,7 @@ import re
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 Position = tuple[int, ...]
@@ -55,34 +56,55 @@ class MissingReplacementError(TermError):
 _U_NAME = re.compile(r"U\d+_.+")
 
 
-@dataclass(frozen=True)
 class FunSym:
     """A function symbol with a fixed arity.
+
+    Symbols are interned: ``FunSym(name, arity)`` returns the one live
+    symbol with that name and arity, so equality and hashing are the
+    identity defaults.  A weak table, filled under the intern lock, maps
+    each (name, arity) to its symbol.  Symbols are immutable, and copying
+    or unpickling one returns the interned symbol.
 
     ``is_usymbol`` is set from the name, the only record of that fact: true
     exactly for the ``U<i>_<rule>`` names that :func:`default_u_symbol` gives
     the fresh symbols of an unraveling, so those names are reserved.
     """
 
+    __slots__ = ("name", "arity", "is_usymbol", "__weakref__")
     name: str
     arity: int
-    is_usymbol: bool = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    is_usymbol: bool
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, arity: int) -> "FunSym":
+        key = (name, arity)
+        sym = _symbols.get(key)
+        if sym is not None:
+            return sym
+        if not name:
             raise ValueError("function symbol name must be non-empty")
-        if self.arity < 0:
-            raise ValueError(f"negative arity for {self.name!r}")
-        object.__setattr__(self, "is_usymbol", _U_NAME.fullmatch(self.name) is not None)
-        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
+        if arity < 0:
+            raise ValueError(f"negative arity for {name!r}")
+        with _intern_lock:
+            sym = _symbols.get(key)
+            if sym is None:
+                sym = object.__new__(cls)
+                object.__setattr__(sym, "name", name)
+                object.__setattr__(sym, "arity", arity)
+                object.__setattr__(sym, "is_usymbol", _U_NAME.fullmatch(name) is not None)
+                _symbols[key] = sym
+            return sym
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"FunSym is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"FunSym is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        # As for App: the cached hash is only valid under this process's seed.
         return FunSym, (self.name, self.arity)
+
+    def __repr__(self) -> str:
+        return f"FunSym(name={self.name!r}, arity={self.arity!r})"
 
     def __str__(self) -> str:
         return self.name
@@ -203,6 +225,8 @@ def _forget(ref: _Entry) -> None:
 # application built from them.  Entries vanish with their application.
 _interned: dict[tuple, _Entry] = {}
 _intern_lock = threading.Lock()
+# The symbol table: (name, arity) -> the live symbol with them.
+_symbols: "weakref.WeakValueDictionary[tuple[str, int], FunSym]" = weakref.WeakValueDictionary()
 
 Term = Union[Var, App]
 
@@ -333,11 +357,30 @@ def match(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
                 binding[pat.name] = sub
             elif bound != sub:
                 return None
-        elif sub.__class__ is Var or (pat.sym is not sub.sym and pat.sym != sub.sym):
+        elif sub.__class__ is Var or pat.sym is not sub.sym:
             return None
         elif pat.args:
             todo += zip(reversed(pat.args), reversed(sub.args))
     return binding
+
+
+Guard = tuple[tuple[int, FunSym], ...]
+
+
+def arg_guard(pattern: App) -> Guard:
+    """The (0-based index, root symbol) of each argument of ``pattern`` that
+    is not a variable: the depth-1 level of a discrimination tree."""
+    return tuple((i, arg.sym) for i, arg in enumerate(pattern.args) if arg.__class__ is App)
+
+
+def admits(guard: Guard, args: tuple[Term, ...]) -> bool:
+    """False when an argument's root clashes with ``guard``, so that no
+    pattern with that guard matches an application with these arguments."""
+    for i, sym in guard:
+        arg = args[i]
+        if arg.__class__ is not App or arg.sym is not sym:
+            return False
+    return True
 
 
 def apply_subst(t: Term, sigma: Subst) -> Term:

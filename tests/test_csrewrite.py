@@ -220,6 +220,26 @@ def test_only_unsettled_seeds_reach_explore(monkeypatch, name, size, fewest, mos
     assert fewest <= len(calls) <= most
 
 
+def test_settled_seeds_reaching_at_most_max_steps_terms_skip_explore(monkeypatch):
+    # Five settled fib_pairs seeds reach 52-277 terms but have reach bounds
+    # above max_steps = 500, since a shared term counts once per path; their
+    # exact counts let the memo answer them.  Only the unknown seed is left.
+    cs = unravel_cs(load_system("fib_pairs"))
+    seeds = enumerate_original_terms(cs.signature, 6)
+    calls = []
+    real = csrewrite.explore
+
+    def counting_explore(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csrewrite, "explore", counting_explore)
+    verdict = mu_terminating_on_seeds(seeds, cs)
+    assert [term_to_str(t) for t in calls] == ["fib(s(s(s(s(0)))))"]
+    monkeypatch.setattr(csrewrite, "explore", real)
+    assert verdict == explore_each_seed(seeds, cs, Fuel())
+
+
 def test_enumerate_original_terms(bubble):
     size1 = enumerate_original_terms(bubble.signature, 1)
     assert {term_to_str(t) for t in size1} == {"0", "true", "false", "nil"}

@@ -1,9 +1,10 @@
 import pickle
 import random
+from itertools import product
 
 import pytest
 
-from conftest import full_map, load_system, spy_rule_matches, term_of
+from conftest import CORPUS, full_map, load_system, spy_rule_matches, term_of
 from test_checker import _random_dctrs
 
 import ctrskit as ck
@@ -13,9 +14,12 @@ from ctrskit.ctrs import (
     ConditionalEngine,
     ConditionalRule,
     Fuel,
+    guarded_rules_by_root,
+    rules_by_root,
     validate_dctrs,
 )
-from ctrskit.terms import App, FunSym, Var, term_to_str
+from ctrskit.terms import App, FunSym, Var, admits, match, term_to_str
+from ctrskit.unravel import unravel_cs
 
 
 def test_fuel_bounds_positive():
@@ -34,6 +38,46 @@ def test_conditional_steps_try_only_rules_with_the_redex_root(bubble, monkeypatc
     assert sum(len(engine.all_steps(t).steps) for t in seeds) == 16
     assert all(isinstance(u, App) and pattern.sym == u.sym for pattern, u in calls)
     assert 0 < len(calls) <= 300
+
+
+def _terms_up_to(symbols, max_size):
+    """Every term over ``symbols`` and the variable x with at most
+    ``max_size`` nodes, unraveling symbols included."""
+    by_size = [[], [Var("x")] + [App(sym) for sym in symbols if sym.arity == 0]]
+    for size in range(2, max_size + 1):
+        by_size.append(
+            [
+                App(sym, args)
+                for sym in symbols
+                if 0 < sym.arity < size
+                for parts in product(range(1, size), repeat=sym.arity)
+                if sum(parts) == size - 1
+                for args in product(*(by_size[p] for p in parts))
+            ]
+        )
+    return [t for bucket in by_size for t in bucket]
+
+
+def test_a_rejecting_argument_guard_means_no_match():
+    # The guard skips a rule only on a clash of argument root symbols, which
+    # match would reject too; rules keep their rules_by_root order.
+    rng = random.Random(7)
+    systems = [load_system(path.stem) for path in sorted(CORPUS.glob("*.ctrs"))]
+    systems += [_random_dctrs(rng) for _ in range(100)]
+    rejected = 0
+    for system in systems:
+        cs = unravel_cs(system)
+        for rules, signature in ((system.rules, system.signature), (cs.rules, cs.signature)):
+            index = guarded_rules_by_root(rules)
+            assert {sym: tuple(r for r, _ in group) for sym, group in index.items()} == (
+                rules_by_root(rules)
+            )
+            for t in _terms_up_to(signature, 4):
+                for rule, guard in index.get(getattr(t, "sym", None), ()):
+                    if not admits(guard, t.args):
+                        rejected += 1
+                        assert match(rule.lhs, t) is None, (rule.id, term_to_str(t))
+    assert rejected > 5000
 
 
 def test_validate_bubble(bubble):
@@ -230,6 +274,52 @@ def test_complete_answers_do_not_change_with_more_fuel():
                     assert ask(ample, t, goal) == answer, (max_level, term_to_str(t))
                     checked += 1
     assert checked > 4000
+
+
+def test_complete_fresh_engine_answers_do_not_change_with_more_work():
+    # As above, on fresh engines, whose answers no earlier operation helped:
+    # a complete answer at a binding work budget equals the answer at
+    # max_steps = 20,000 under the same level cap.  The streams of systems
+    # differ from the test above.
+    rng = random.Random(515)
+    checked = 0
+    for _ in range(150):
+        system = _random_dctrs(rng)
+        terms = enumerate_original_terms(system.signature, 3)
+        for fuel in (Fuel(1, 20, 30), Fuel(3, 40, 30), Fuel(4, 200, 60)):
+            ample = Fuel(fuel.max_level, 20_000, fuel.max_term_size)
+            for t in terms:
+                answer = ConditionalEngine(system, fuel).all_steps(t)
+                if not answer.exhausted:
+                    assert ConditionalEngine(system, ample).all_steps(t) == answer, (
+                        fuel,
+                        term_to_str(t),
+                    )
+                    checked += 1
+    assert checked > 5000
+
+
+@pytest.mark.parametrize(
+    "name, most", [("parity_cond", 137), ("bubble_sort", 80), ("fib_pairs", 173), ("last_cond", 8)]
+)
+def test_rule_solutions_stop_at_the_saturated_level(monkeypatch, name, most):
+    # Re-solving the conditions at every level up to max_level made 894, 512,
+    # 596 and 64 calls here; once a level saturated, no higher one can add.
+    system = load_system(name)
+    seeds = enumerate_original_terms(system.signature, 5)
+    unspied = ConditionalEngine(system)
+    want = [unspied.all_steps(t) for t in seeds]
+    calls = []
+    real = ConditionalEngine._solve_conditions
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(ConditionalEngine, "_solve_conditions", counting)
+    engine = ConditionalEngine(system)
+    assert [engine.all_steps(t) for t in seeds] == want
+    assert 0 < len(calls) <= most
 
 
 def test_unconditional_rules_agree_with_plain_rewriting():

@@ -106,7 +106,7 @@ def reference_has_syntactic_redex(engine, t):
     cached = engine._redex_cache.get(t)
     if cached is None:
         cached = isinstance(t, App) and (
-            any(match(rule.lhs, t) is not None for rule in engine._rules_at.get(t.sym, ()))
+            any(match(rule.lhs, t) is not None for rule, _ in engine._rules_at.get(t.sym, ()))
             or any(engine._has_syntactic_redex(arg) for arg in t.args)
         )
         engine._redex_cache[t] = cached

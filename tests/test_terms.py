@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_SIG, load_problem, term_of, terms_over
+from conftest import SMALL_SIG, corpus_text, load_problem, term_of, terms_over
 
 import ctrskit as ck
 from ctrskit import terms
@@ -318,6 +318,58 @@ def test_terms_built_apart_are_the_same_object(t):
         assert replace_at(t, p, subterm_at(t, p)) is t
 
 
+def test_symbols_of_separately_parsed_systems_are_the_same_object():
+    first, second = (ck.parse_ctrs(corpus_text("bubble_sort")) for _ in range(2))
+    assert first.signature == second.signature
+    assert all(a is b for a, b in zip(first.signature, second.signature))
+    assert all(a.lhs.sym is b.lhs.sym for a, b in zip(first.rules, second.rules))
+
+
+def test_copied_and_unpickled_symbols_are_the_interned_symbol():
+    for sym in (S, U4, FunSym("copied_only_here", 3)):
+        for twin in (pickle.loads(pickle.dumps(sym)), copy.copy(sym), copy.deepcopy(sym)):
+            assert twin is sym
+    with pytest.raises(AttributeError):
+        S.name = "t"
+    with pytest.raises(AttributeError):
+        del S.arity
+    assert repr(U4) == "FunSym(name='U1_r4', arity=4)" and str(U4) == "U1_r4"
+    assert U4.is_usymbol and not S.is_usymbol
+
+
+def test_threads_building_a_fresh_symbol_get_one_object():
+    slots, threads = 2000, 4
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+
+    def build(k):
+        barrier.wait(timeout=60)
+        results[k] = [FunSym(f"fresh_sym_{i}", i % 3) for i in range(slots)]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(k,)) for k in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(w.is_alive() for w in workers)
+    assert all(r is not None and len(r) == slots for r in results)
+    for i in range(slots):
+        assert all(r[i] is results[0][i] for r in results[1:])
+
+
+def test_a_term_built_from_a_twin_symbol_keeps_the_interned_symbol():
+    # Before symbols were interned, a live s(0) built from an equal but
+    # distinct FunSym("s", 1) was returned for s(zero), with its symbol.
+    twin = FunSym("s", 1)
+    kept = App(twin, (zero,))
+    assert twin is S and kept is s(zero) and s(zero).sym is S
+
+
 def test_applications_are_immutable():
     t = s(zero)
     with pytest.raises(AttributeError):
@@ -481,8 +533,8 @@ def test_unpickled_term_hashes_with_its_own_process_seed():
 @settings(max_examples=200)
 @given(terms_over(MIXED_SIG, var_names=("x", "y")), terms_over(MIXED_SIG, var_names=()))
 def test_symbols_built_apart_compare_and_match_by_value(pattern, ground):
-    # Separately parsed systems hold distinct but equal symbol objects, so
-    # identity may only ever be a shortcut for value equality.
+    # A symbol built apart is the interned symbol itself, so terms built
+    # apart match as the originals do.
     subject = apply_subst(pattern, {"x": ground, "y": _rebuilt(ground)})
     sigma = match(pattern, subject)
     assert sigma is not None
@@ -490,7 +542,7 @@ def test_symbols_built_apart_compare_and_match_by_value(pattern, ground):
     assert match(pattern, _rebuilt(subject)) == sigma
     for sym in fun_syms(subject):
         twin = FunSym(sym.name, sym.arity)
-        assert twin is not sym and twin == sym and not twin != sym
+        assert twin is sym and twin == sym and not twin != sym
         assert hash(twin) == hash(sym) and twin.is_usymbol == sym.is_usymbol
         assert FunSym(sym.name, sym.arity + 1) != sym
         assert FunSym(sym.name + "'", sym.arity) != sym
