@@ -6,8 +6,6 @@ checks the simulation and commutation properties the transformation relies
 on, and proves or refutes quasi-decreasingness with checkable certificates.
 """
 
-from importlib import resources
-
 from .checker import (
     BoundsExhausted,
     CommutationError,
@@ -103,4 +101,6 @@ __version__ = "0.1.0"
 
 def corpus_dir() -> str:
     """Path of the bundled example systems (a directory of .ctrs files)."""
+    from importlib import resources
+
     return str(resources.files(__name__) / "corpus")

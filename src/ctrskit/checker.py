@@ -29,7 +29,6 @@ a plain closure walk over the successor lists, in ``bfs``'s order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -48,6 +47,7 @@ from .ctrs import (
 )
 from .csrewrite import MuEngine, enumerate_original_terms, mu_terminating_on_seeds
 from .lpo import Precedence, SignatureTooLargeError, orients, search_precedence
+from .records import Record
 from .terms import (
     App,
     Term,
@@ -151,13 +151,11 @@ def check_commutation(s: Term, t: Term, u: Term, system: Csrs) -> Term:
 # Prover
 
 
-@dataclass(frozen=True)
-class PrecedenceCert:
+class PrecedenceCert(NamedTuple):
     precedence: Precedence
 
 
-@dataclass(frozen=True)
-class LoopCert:
+class LoopCert(NamedTuple):
     loop: Reduction
 
     @property
@@ -165,28 +163,37 @@ class LoopCert:
         return self.loop.start
 
 
-@dataclass(frozen=True)
-class BoundsExhausted:
+class BoundsExhausted(NamedTuple):
     fuel: Fuel
 
 
 Certificate = Union[PrecedenceCert, LoopCert, BoundsExhausted]
 
 
-@dataclass
-class ProofOutcome:
-    verdict: str  # "YES" | "NO" | "MAYBE"
-    certificate: Certificate
-    provenance: str
-    diagnostics: list[str] = field(default_factory=list)
-    # Per-method answers: "unravel+lpo" (YES or MAYBE), "loop-search" (NO or
-    # MAYBE), and "lpo-note" when the precedence search refused the signature.
-    methods: dict[str, str] = field(default_factory=dict)
+class ProofOutcome(Record):
+    """A verdict ("YES", "NO" or "MAYBE") with its certificate.  ``methods``
+    holds the per-method answers: "unravel+lpo" (YES or MAYBE), "loop-search"
+    (NO or MAYBE), and "lpo-note" when the precedence search refused the
+    signature."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("verdict", "certificate", "provenance", "diagnostics", "methods")
+
+    def __init__(
+        self,
+        verdict: str,
+        certificate: Certificate,
+        provenance: str,
+        diagnostics: Optional[list[str]] = None,
+        methods: Optional[dict[str, str]] = None,
+    ) -> None:
         expected = {"YES": PrecedenceCert, "NO": LoopCert, "MAYBE": BoundsExhausted}
-        if not isinstance(self.certificate, expected[self.verdict]):
-            raise ValueError(f"{self.verdict} verdict with {type(self.certificate).__name__}")
+        if not isinstance(certificate, expected[verdict]):
+            raise ValueError(f"{verdict} verdict with {type(certificate).__name__}")
+        self.verdict = verdict
+        self.certificate = certificate
+        self.provenance = provenance
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.methods = {} if methods is None else methods
 
 
 class ProofAlarm(Exception):
@@ -279,26 +286,44 @@ def prove_quasi_decreasing(
 # Witness-order validation
 
 
-@dataclass
-class ObligationResult:
-    number: int
-    name: str
-    passed: bool
-    checked: int
-    failures: list[str] = field(default_factory=list)
+class ObligationResult(Record):
+    __slots__ = ("number", "name", "passed", "checked", "failures")
+
+    def __init__(
+        self,
+        number: int,
+        name: str,
+        passed: bool,
+        checked: int,
+        failures: Optional[list[str]] = None,
+    ) -> None:
+        self.number = number
+        self.name = name
+        self.passed = passed
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
         return f"({self.number}) {self.name}: {status} [{self.checked} checks]"
 
 
-@dataclass
-class WitnessOrderReport:
-    sampled_pairs: list[tuple[Term, Term]]
-    obligations: list[ObligationResult]
-    incomplete: bool
-    notes: list[str] = field(default_factory=list)
-    chain_instances: list[dict] = field(default_factory=list)
+class WitnessOrderReport(Record):
+    __slots__ = ("sampled_pairs", "obligations", "incomplete", "notes", "chain_instances")
+
+    def __init__(
+        self,
+        sampled_pairs: list[tuple[Term, Term]],
+        obligations: list[ObligationResult],
+        incomplete: bool,
+        notes: Optional[list[str]] = None,
+        chain_instances: Optional[list[dict]] = None,
+    ) -> None:
+        self.sampled_pairs = sampled_pairs
+        self.obligations = obligations
+        self.incomplete = incomplete
+        self.notes = [] if notes is None else notes
+        self.chain_instances = [] if chain_instances is None else chain_instances
 
     @property
     def ok(self) -> bool:
@@ -322,7 +347,7 @@ def _itself(t: Term) -> Term:
 
 
 def _combined_graph(
-    seeds: Sequence[Term], cs: Csrs, fuel: Fuel, engine: MuEngine
+    seeds: Sequence[Term], fuel: Fuel, engine: MuEngine
 ) -> tuple[list[Term], dict[Term, list[Term]], bool]:
     """Reachable fragment of "one rewrite step or one active-child step":
     its nodes in BFS order, the successor lists of the expanded nodes, and
@@ -336,7 +361,7 @@ def _combined_graph(
             steps = within_size(engine.steps(t), fuel.max_term_size)
             out = [None if step is None else step.target for step in steps]
         if isinstance(t, App) and t.args:
-            out += [t.args[i - 1] for i in sorted(cs.mu.active_indices(t.sym))]
+            out += [t.args[i - 1] for i in engine._active_indices(t.sym)]
         succ[t] = [u for u in out if u is not None]
         return out
 
@@ -385,7 +410,7 @@ def validate_witness_order(
     cond_engine = ConditionalEngine(system, fuel)
     notes: list[str] = []
 
-    nodes, succ, incomplete = _combined_graph(seeds, cs, fuel, mu_engine)
+    nodes, succ, incomplete = _combined_graph(seeds, fuel, mu_engine)
     original_nodes = [t for t in nodes if is_original(t)]
     if len(original_nodes) > MAX_SOURCES:
         notes.append(

@@ -22,7 +22,6 @@ from .checker import (
 )
 from .csrewrite import MuEngine, enumerate_original_terms, explore
 from .ctrs import DEFAULT_FUEL, ConditionalEngine, Dctrs, Fuel
-from .experiment import load_config, run_experiment
 from .fmt import (
     ParseError,
     ValidationError,
@@ -223,6 +222,9 @@ def _cmd_check_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    # Only this command needs the batch runner.
+    from .experiment import load_config, run_experiment
+
     config = load_config(args.config)
     if args.workers is not None:
         config.workers = args.workers

@@ -23,9 +23,8 @@ search; only the other seeds are explored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .ctrs import (
     DEFAULT_FUEL,
@@ -40,6 +39,7 @@ from .ctrs import (
     lift_steps,
     within_size,
 )
+from .records import Record
 from .terms import (
     ROOT,
     App,
@@ -55,8 +55,7 @@ from .terms import (
 from .unravel import Csrs
 
 
-@dataclass(frozen=True)
-class MuVerdict:
+class MuVerdict(NamedTuple):
     """Outcome of a bounded termination check."""
 
     outcome: str  # "terminates" | "loop" | "unknown"
@@ -149,15 +148,24 @@ class MuEngine:
         return indices
 
 
-@dataclass
-class ReductionGraph:
+class ReductionGraph(Record):
     """A bounded unfolding of the rewrite relation from one root."""
 
-    root: Term
-    nodes: list[Term] = field(default_factory=list)
-    edges: list[ReductionStep] = field(default_factory=list)
-    depth: dict[Term, int] = field(default_factory=dict)
-    complete: bool = True
+    __slots__ = ("root", "nodes", "edges", "depth", "complete")
+
+    def __init__(
+        self,
+        root: Term,
+        nodes: Optional[list[Term]] = None,
+        edges: Optional[list[ReductionStep]] = None,
+        depth: Optional[dict[Term, int]] = None,
+        complete: bool = True,
+    ) -> None:
+        self.root = root
+        self.nodes = [] if nodes is None else nodes
+        self.edges = [] if edges is None else edges
+        self.depth = {} if depth is None else depth
+        self.complete = complete
 
 
 def explore(

@@ -31,11 +31,11 @@ term's subterms keep explicit stacks; only condition searches nest, at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
+from .records import Frozen
 from .terms import (
     ROOT,
     App,
@@ -59,8 +59,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class ConditionalRule:
+class ConditionalRule(NamedTuple):
     """A rule ``lhs -> rhs`` guarded by an ordered list of oriented conditions."""
 
     id: str
@@ -80,8 +79,7 @@ class ConditionalRule:
         return f"{head} | {conds}"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One violated well-formedness condition, tied to a rule (and condition)
     or, for a symbol declared but used by no rule, to ``SIG``."""
 
@@ -97,12 +95,16 @@ class Violation:
         return f"[{self.code}] {where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Dctrs:
+class Dctrs(Frozen):
     """A validated deterministic conditional system over an original signature."""
 
-    signature: tuple[FunSym, ...]  # sorted by (name, arity)
-    rules: tuple[ConditionalRule, ...]
+    __slots__ = ("signature", "rules")
+
+    def __init__(
+        self, signature: tuple[FunSym, ...], rules: tuple[ConditionalRule, ...]
+    ) -> None:
+        object.__setattr__(self, "signature", signature)  # sorted by (name, arity)
+        object.__setattr__(self, "rules", rules)
 
     @property
     def conditional_rules(self) -> tuple[ConditionalRule, ...]:
@@ -197,8 +199,7 @@ def _reserved(where: str, symbols: Iterable[FunSym]) -> list[Violation]:
     ]
 
 
-@dataclass(frozen=True)
-class Fuel:
+class Fuel(Frozen):
     """Bounds that make every search total.
 
     ``max_level`` caps the condition-discharge stratification, ``max_steps``
@@ -206,13 +207,14 @@ class Fuel:
     larger than the given node count.
     """
 
-    max_level: int = 8
-    max_steps: int = 500
-    max_term_size: int = 200
+    __slots__ = ("max_level", "max_steps", "max_term_size")
 
-    def __post_init__(self) -> None:
-        if min(self.max_level, self.max_steps, self.max_term_size) < 1:
+    def __init__(self, max_level: int = 8, max_steps: int = 500, max_term_size: int = 200) -> None:
+        if min(max_level, max_steps, max_term_size) < 1:
             raise ValueError("all fuel bounds must be strictly positive")
+        object.__setattr__(self, "max_level", max_level)
+        object.__setattr__(self, "max_steps", max_steps)
+        object.__setattr__(self, "max_term_size", max_term_size)
 
 
 DEFAULT_FUEL = Fuel()
@@ -259,19 +261,19 @@ class ReductionStep(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(Frozen):
     """A finite step sequence; adjacent steps must chain source-to-target."""
 
-    start: Term
-    steps: tuple[ReductionStep, ...] = ()
+    __slots__ = ("start", "steps")
 
-    def __post_init__(self) -> None:
-        here = self.start
-        for step in self.steps:
+    def __init__(self, start: Term, steps: tuple[ReductionStep, ...] = ()) -> None:
+        here = start
+        for step in steps:
             if step.source != here:
                 raise ValueError("reduction steps do not chain")
             here = step.target
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def end(self) -> Term:

@@ -18,18 +18,14 @@ from __future__ import annotations
 
 import json
 import os
-import shlex
-import subprocess
-import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .checker import DEFAULT_SEED_SIZE, ProofAlarm, prove_quasi_decreasing
 from .ctrs import DEFAULT_FUEL, Fuel
 from .fmt import ParseError, ValidationError, parse_ctrs, print_csrs, print_ctrs, print_trs
+from .records import Record
 from .report import FORMAT_VERSION, certificate_dict
 from .unravel import unravel, unravel_cs
 
@@ -45,8 +41,7 @@ NON_REPRODUCTION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ExternalTool:
+class ExternalTool(NamedTuple):
     """An external prover invoked on an exported file.
 
     ``transform`` picks the export: "ctrs" (as parsed), "u" (unraveled TRS),
@@ -60,12 +55,20 @@ class ExternalTool:
     timeout: float = 60.0
 
 
-@dataclass
-class ExperimentConfig:
-    fuel: Fuel = DEFAULT_FUEL
-    seed_size: int = DEFAULT_SEED_SIZE
-    workers: int = 1
-    external_tools: list[ExternalTool] = field(default_factory=list)
+class ExperimentConfig(Record):
+    __slots__ = ("fuel", "seed_size", "workers", "external_tools")
+
+    def __init__(
+        self,
+        fuel: Fuel = DEFAULT_FUEL,
+        seed_size: int = DEFAULT_SEED_SIZE,
+        workers: int = 1,
+        external_tools: Optional[list[ExternalTool]] = None,
+    ) -> None:
+        self.fuel = fuel
+        self.seed_size = seed_size
+        self.workers = workers
+        self.external_tools = [] if external_tools is None else external_tools
 
 
 # The file an external tool receives, by ``ExternalTool.transform``.
@@ -133,42 +136,88 @@ def _tool(section: str, entry) -> ExternalTool:
     return tool
 
 
-@dataclass
-class SystemRow:
-    system: str
-    file: str
-    status: str  # "ok" | "parse-error" | "invalid" | "alarm"
-    rule_count: int = 0
-    conditional_count: int = 0
-    unraveled_count: int = 0
-    verdict: Optional[str] = None
-    methods: dict = field(default_factory=dict)
-    certificate: Optional[dict] = None
-    external: dict = field(default_factory=dict)
-    error: Optional[str] = None
-    wall_time: float = 0.0
+class SystemRow(Record):
+    """One system's row; ``status`` is "ok", "parse-error", "invalid" or
+    "alarm"."""
+
+    __slots__ = (
+        "system",
+        "file",
+        "status",
+        "rule_count",
+        "conditional_count",
+        "unraveled_count",
+        "verdict",
+        "methods",
+        "certificate",
+        "external",
+        "error",
+        "wall_time",
+    )
+
+    def __init__(
+        self,
+        system: str,
+        file: str,
+        status: str,
+        rule_count: int = 0,
+        conditional_count: int = 0,
+        unraveled_count: int = 0,
+        verdict: Optional[str] = None,
+        methods: Optional[dict] = None,
+        certificate: Optional[dict] = None,
+        external: Optional[dict] = None,
+        error: Optional[str] = None,
+        wall_time: float = 0.0,
+    ) -> None:
+        self.system = system
+        self.file = file
+        self.status = status
+        self.rule_count = rule_count
+        self.conditional_count = conditional_count
+        self.unraveled_count = unraveled_count
+        self.verdict = verdict
+        self.methods = {} if methods is None else methods
+        self.certificate = certificate
+        self.external = {} if external is None else external
+        self.error = error
+        self.wall_time = wall_time
 
 
-@dataclass
-class ExperimentReport:
-    rows: list[SystemRow]
-    summary: dict
-    note: str = NON_REPRODUCTION_NOTE
-    fuel: Fuel = DEFAULT_FUEL
-    total_time: float = 0.0
+class ExperimentReport(Record):
+    __slots__ = ("rows", "summary", "note", "fuel", "total_time")
+
+    def __init__(
+        self,
+        rows: list[SystemRow],
+        summary: dict,
+        note: str = NON_REPRODUCTION_NOTE,
+        fuel: Fuel = DEFAULT_FUEL,
+        total_time: float = 0.0,
+    ) -> None:
+        self.rows = rows
+        self.summary = summary
+        self.note = note
+        self.fuel = fuel
+        self.total_time = total_time
 
     def to_dict(self) -> dict:
         return {
             "format_version": FORMAT_VERSION,
             "note": self.note,
-            "fuel": asdict(self.fuel),
+            "fuel": self.fuel._asdict(),
             "summary": self.summary,
-            "rows": [asdict(r) for r in self.rows],
+            "rows": [r._asdict() for r in self.rows],
             "total_time": self.total_time,
         }
 
 
 def _run_external(tool: ExternalTool, exported: str) -> str:
+    # Only a configured external tool needs these modules.
+    import shlex
+    import subprocess
+    import tempfile
+
     with tempfile.NamedTemporaryFile(
         "w", suffix=".trs", prefix="ctrskit-", delete=False
     ) as handle:
@@ -237,6 +286,8 @@ def run_experiment(directory: str, config: Optional[ExperimentConfig] = None) ->
     started = time.monotonic()
     files = sorted(Path(directory).glob("*.ctrs"))
     if cfg.workers > 1 and len(files) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # pulls in logging
+
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(lambda p: _process_file(p, cfg), files))
     else:

@@ -21,16 +21,15 @@ them.  All printers emit deterministic, re-parseable text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .ctrs import ConditionalRule, Dctrs, Violation, validate_dctrs
+from .records import Record
 from .terms import App, FunSym, ReplacementMap, Term, Var, vars_of
 from .unravel import Csrs, Rule, Trs
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     col: int
     message: str
@@ -51,8 +50,7 @@ class ValidationError(Exception):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     line: int
     col: int
@@ -81,13 +79,17 @@ def tokenize(text: str) -> list[Token]:
     ]
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(Record):
     """A parsed input file plus the metadata needed to interpret terms."""
 
-    path: str
-    declared_vars: list[str]
-    system: Union[Dctrs, Trs, Csrs]
+    __slots__ = ("path", "declared_vars", "system")
+
+    def __init__(
+        self, path: str, declared_vars: list[str], system: Union[Dctrs, Trs, Csrs]
+    ) -> None:
+        self.path = path
+        self.declared_vars = declared_vars
+        self.system = system
 
     @property
     def kind(self) -> str:

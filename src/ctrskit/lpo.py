@@ -18,9 +18,9 @@ reaches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from .records import Frozen
 from .terms import FunSym, Term, Var, subterms, vars_of
 from .unravel import Trs
 
@@ -33,23 +33,25 @@ class SignatureTooLargeError(Exception):
     """The signature exceeds the search cap; use an external prover."""
 
 
-@dataclass(frozen=True)
-class Precedence:
+class Precedence(Frozen):
     """A strict total order on function symbols, greatest first."""
 
-    order: tuple[FunSym, ...]
+    __slots__ = ("order",)
 
-    def __post_init__(self) -> None:
-        if len(set(self.order)) != len(self.order):
+    def __init__(self, order: tuple[FunSym, ...]) -> None:
+        if len(set(order)) != len(order):
             raise ValueError("precedence lists a symbol twice")
+        object.__setattr__(self, "order", order)
 
     def __str__(self) -> str:
         return " > ".join(s.name for s in self.order)
 
 
 def lpo_greater(s: Term, t: Term, prec: Precedence) -> bool:
-    """The strict lexicographic path order induced by ``prec``."""
+    """The strict lexicographic path order induced by ``prec``.  Verdicts on
+    pairs of applications are memoized for the call, as in :func:`_lpo3`."""
     ranks = {sym: i for i, sym in enumerate(prec.order)}
+    memo: dict[tuple[Term, Term], bool] = {}
 
     def gt(a: Term, b: Term) -> bool:
         if isinstance(a, Var):
@@ -60,21 +62,27 @@ def lpo_greater(s: Term, t: Term, prec: Precedence) -> bool:
             return b.name in vars_of(a)
         if b.sym not in ranks:
             raise UnknownSymbolError(f"{b.sym.name}/{b.sym.arity} not in precedence")
-        # (i) some argument of a is >= b
+        key = (a, b)
+        verdict = memo.get(key)
+        if verdict is not None:
+            return verdict
         if any(ai == b or gt(ai, b) for ai in a.args):
-            return True
-        ra, rb = ranks[a.sym], ranks[b.sym]
-        if ra < rb:
+            # (i) some argument of a is >= b
+            verdict = True
+        elif ranks[a.sym] < ranks[b.sym]:
             # (ii) greater root, a dominates every argument of b
-            return all(gt(a, bj) for bj in b.args)
-        if a.sym == b.sym:
+            verdict = all(gt(a, bj) for bj in b.args)
+        else:
             # (iii) equal roots: lexicographically greater arguments,
             # and a dominates every argument of b
-            for ak, bk in zip(a.args, b.args):
-                if ak == bk:
-                    continue
-                return gt(ak, bk) and all(gt(a, bj) for bj in b.args)
-        return False
+            verdict = False
+            if a.sym == b.sym:
+                for ak, bk in zip(a.args, b.args):
+                    if ak != bk:
+                        verdict = gt(ak, bk) and all(gt(a, bj) for bj in b.args)
+                        break
+        memo[key] = verdict
+        return verdict
 
     return gt(s, t)
 
@@ -87,22 +95,30 @@ def lpo_greater(s: Term, t: Term, prec: Precedence) -> bool:
 Atom = tuple[FunSym, FunSym]
 Verdict = Union[bool, Atom]
 VarSets = dict[Term, frozenset[str]]
+Memo = dict[tuple[Term, Term, frozenset[Atom]], Verdict]
 
 
-def _lpo3(s: Term, t: Term, above: frozenset[Atom], varsets: VarSets) -> Verdict:
+def _lpo3(s: Term, t: Term, above: frozenset[Atom], varsets: VarSets, memo: Memo) -> Verdict:
     """``s >lpo t`` under the partial precedence ``above``; ``varsets`` maps
-    every subterm of a left-hand side to its variable names."""
+    every subterm of a left-hand side to its variable names.
+
+    The evaluation meets the same pair of subterms exponentially often in
+    the depth of the terms; ``memo`` keeps each verdict by ``(s, t,
+    above)``, so that each is decided once."""
     if isinstance(s, Var):
         return False
     if isinstance(t, Var):
         return t.name in varsets[s]
+    key = (s, t, above)
+    known = memo.get(key)
+    if known is not None:
+        return known
 
     need: Optional[Atom] = None
     for si in s.args:
-        if si == t:
-            return True
-        verdict = _lpo3(si, t, above, varsets)
+        verdict = si == t or _lpo3(si, t, above, varsets, memo)
         if verdict is True:
+            memo[key] = True
             return True
         if verdict is not False and need is None:
             need = verdict
@@ -111,7 +127,7 @@ def _lpo3(s: Term, t: Term, above: frozenset[Atom], varsets: VarSets) -> Verdict
         head: Verdict = False
         for sk, tk in zip(s.args, t.args):
             if sk != tk:
-                head = _lpo3(sk, tk, above, varsets)
+                head = _lpo3(sk, tk, above, varsets, memo)
                 break
     elif (s.sym, t.sym) in above:
         head = True
@@ -124,7 +140,7 @@ def _lpo3(s: Term, t: Term, above: frozenset[Atom], varsets: VarSets) -> Verdict
         # s must also dominate every argument of t.
         dominates: Verdict = True
         for tj in t.args:
-            verdict = _lpo3(s, tj, above, varsets)
+            verdict = _lpo3(s, tj, above, varsets, memo)
             if verdict is False:
                 dominates = False
                 break
@@ -133,10 +149,12 @@ def _lpo3(s: Term, t: Term, above: frozenset[Atom], varsets: VarSets) -> Verdict
         if dominates is not False:
             both = dominates if head is True else head
             if both is True:
+                memo[key] = True
                 return True
             if need is None:
                 need = both
-    return False if need is None else need
+    memo[key] = verdict = False if need is None else need
+    return verdict
 
 
 def _with(above: frozenset[Atom], f: FunSym, g: FunSym) -> frozenset[Atom]:
@@ -151,7 +169,7 @@ def _with(above: frozenset[Atom], f: FunSym, g: FunSym) -> frozenset[Atom]:
 
 
 def _orientable(
-    pending: list[tuple[Term, Term]], above: frozenset[Atom], varsets: VarSets
+    pending: list[tuple[Term, Term]], above: frozenset[Atom], varsets: VarSets, memo: Memo
 ) -> bool:
     """Whether some total extension of ``above`` orients every pending pair.
 
@@ -162,7 +180,7 @@ def _orientable(
     undecided = []
     need: Optional[Atom] = None
     for lhs, rhs in pending:
-        verdict = _lpo3(lhs, rhs, above, varsets)
+        verdict = _lpo3(lhs, rhs, above, varsets, memo)
         if verdict is False:
             return False
         if verdict is not True:
@@ -172,7 +190,7 @@ def _orientable(
         return True
     f, g = need
     return any(
-        _orientable(undecided, _with(above, a, b), varsets) for a, b in ((f, g), (g, f))
+        _orientable(undecided, _with(above, a, b), varsets, memo) for a, b in ((f, g), (g, f))
     )
 
 
@@ -194,8 +212,9 @@ def search_precedence(system: Trs, max_signature: int = 10) -> Optional[Preceden
         )
     pairs = [(r.lhs, r.rhs) for r in system.rules]
     varsets = {u: frozenset(vars_of(u)) for lhs, _ in pairs for u in subterms(lhs)}
+    memo: Memo = {}  # lives for this search only, so it keeps no term alive after
     above: frozenset[Atom] = frozenset()
-    if not _orientable(pairs, above, varsets):
+    if not _orientable(pairs, above, varsets, memo):
         return None
     order: list[FunSym] = []
     while symbols:
@@ -203,7 +222,7 @@ def search_precedence(system: Trs, max_signature: int = 10) -> Optional[Preceden
             # Placing c next puts it above every other remaining symbol; the
             # last candidate always fits, as the current order is orientable.
             placed = above | {(c, d) for d in symbols if d != c}
-            if c is symbols[-1] or _orientable(pairs, placed, varsets):
+            if c is symbols[-1] or _orientable(pairs, placed, varsets, memo):
                 break
         above = placed
         order.append(c)

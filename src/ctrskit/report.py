@@ -8,7 +8,6 @@ text renderings.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from typing import Optional
 
 from .checker import (
@@ -54,7 +53,7 @@ def verdict_dict(verdict: MuVerdict) -> dict:
     if verdict.witness is not None:
         out["witness"] = reduction_dict(verdict.witness)
     if verdict.exhausted_fuel is not None:
-        out["fuel"] = asdict(verdict.exhausted_fuel)
+        out["fuel"] = verdict.exhausted_fuel._asdict()
     return out
 
 
@@ -71,7 +70,7 @@ def certificate_dict(cert) -> dict:
             "loop": reduction_dict(cert.loop),
         }
     if isinstance(cert, BoundsExhausted):
-        return {"type": "bounds-exhausted", "fuel": asdict(cert.fuel)}
+        return {"type": "bounds-exhausted", "fuel": cert.fuel._asdict()}
     raise TypeError(f"unknown certificate {type(cert).__name__}")
 
 
@@ -91,7 +90,7 @@ def witness_report_dict(report: WitnessOrderReport) -> dict:
         "ok": report.ok,
         "incomplete": report.incomplete,
         "sampled_pairs": len(report.sampled_pairs),
-        "obligations": [asdict(ob) for ob in report.obligations],
+        "obligations": [ob._asdict() for ob in report.obligations],
         "chain_instances": [
             {
                 "rule": inst["rule"],

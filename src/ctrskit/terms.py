@@ -32,8 +32,9 @@ import re
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+
+from .records import Frozen
 
 Position = tuple[int, ...]
 
@@ -115,16 +116,21 @@ def default_u_symbol(rule_id: str, index: int, arity: int) -> FunSym:
     return FunSym(f"U{index}_{rule_id}", arity)
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    """A variable leaf."""
+class Var(Frozen):
+    """A variable leaf; variables compare and hash by name."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __reduce__(self):
-        # Rebuild from the field, as App does: Python 3.10 cannot unpickle
-        # a frozen slotted dataclass by assigning its slots.
-        return Var, (self.name,)
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other: object):
+        if other.__class__ is Var:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -408,14 +414,14 @@ def apply_subst(t: Term, sigma: Subst) -> Term:
     return done[0]
 
 
-@dataclass(frozen=True)
-class ReplacementMap:
+class ReplacementMap(Frozen):
     """Maps each function symbol to the argument indices open to rewriting."""
 
-    entries: Mapping[FunSym, frozenset[int]]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        for sym, indices in self.entries.items():
+    def __init__(self, entries: Mapping[FunSym, frozenset[int]]) -> None:
+        object.__setattr__(self, "entries", entries)
+        for sym, indices in entries.items():
             if not indices <= frozenset(range(1, sym.arity + 1)):
                 raise ValueError(
                     f"replacement entry {sorted(indices)} out of range for {sym.name}/{sym.arity}"

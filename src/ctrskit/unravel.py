@@ -14,10 +14,10 @@ leaving all argument positions of original symbols active.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .ctrs import ConditionalRule, Dctrs
+from .records import Frozen
 from .terms import (
     App,
     FunSym,
@@ -31,20 +31,20 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Frozen):
     """An unconditional rewrite rule."""
 
-    id: str
-    lhs: Term
-    rhs: Term
+    __slots__ = ("id", "lhs", "rhs")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.lhs, Var):
-            raise ValueError(f"rule {self.id}: left-hand side is a variable")
-        extra = set(vars_of(self.rhs)) - set(vars_of(self.lhs))
+    def __init__(self, id: str, lhs: Term, rhs: Term) -> None:
+        if isinstance(lhs, Var):
+            raise ValueError(f"rule {id}: left-hand side is a variable")
+        extra = set(vars_of(rhs)) - set(vars_of(lhs))
         if extra:
-            raise ValueError(f"rule {self.id}: unbound right-hand variables {sorted(extra)}")
+            raise ValueError(f"rule {id}: unbound right-hand variables {sorted(extra)}")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def __str__(self) -> str:
         return f"{term_to_str(self.lhs)} -> {term_to_str(self.rhs)}"
@@ -57,25 +57,31 @@ def _signature_of(rules: Sequence[Rule], extra: Sequence[FunSym]) -> tuple[FunSy
     return tuple(sorted(symbols, key=lambda s: (s.name, s.arity)))
 
 
-@dataclass(frozen=True)
-class Trs:
+class Trs(Frozen):
     """An unconditional term rewrite system."""
 
-    signature: tuple[FunSym, ...]
-    rules: tuple[Rule, ...]
+    __slots__ = ("signature", "rules")
+
+    def __init__(self, signature: tuple[FunSym, ...], rules: tuple[Rule, ...]) -> None:
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "rules", rules)
 
     @classmethod
     def of(cls, rules: Sequence[Rule], extra_symbols: Sequence[FunSym] = ()) -> "Trs":
         return cls(_signature_of(rules, extra_symbols), tuple(rules))
 
 
-@dataclass(frozen=True)
-class Csrs:
+class Csrs(Frozen):
     """A TRS paired with a replacement map restricting rewrite positions."""
 
-    signature: tuple[FunSym, ...]
-    rules: tuple[Rule, ...]
-    mu: ReplacementMap
+    __slots__ = ("signature", "rules", "mu")
+
+    def __init__(
+        self, signature: tuple[FunSym, ...], rules: tuple[Rule, ...], mu: ReplacementMap
+    ) -> None:
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "mu", mu)
 
 
 def evar_sequence(rule: ConditionalRule, i: int) -> list[str]:

@@ -5,6 +5,7 @@ import pytest
 from conftest import load_system, term_of
 
 import ctrskit as ck
+from ctrskit import checker
 from ctrskit.checker import (
     BoundsExhausted,
     CommutationError,
@@ -157,6 +158,25 @@ def test_witness_order_bubble_small(bubble):
     assert report.obligation(4).checked > 0
     assert report.chain_instances
     assert len(report.sampled_pairs) > 100
+
+
+def test_combined_graph_looks_up_each_symbols_active_indices_once(bubble, monkeypatch):
+    cs = unravel_cs(bubble)
+    seeds = enumerate_original_terms(bubble.signature, 5)
+    expected = checker._combined_graph(seeds, Fuel(), MuEngine(cs))
+    # The reference: each node's active arguments in ascending index order.
+    for t, succ in expected[1].items():
+        if isinstance(t, App) and t.args:
+            active = [t.args[i - 1] for i in sorted(cs.mu.active_indices(t.sym))]
+            assert succ[len(succ) - len(active):] == active
+    calls = []
+    real = ck.ReplacementMap.active_indices
+    monkeypatch.setattr(
+        ck.ReplacementMap, "active_indices", lambda mu, sym: calls.append(sym) or real(mu, sym)
+    )
+    assert checker._combined_graph(seeds, Fuel(), MuEngine(cs)) == expected
+    assert len(expected[0]) > 900
+    assert len(calls) == len(set(calls)) <= len(cs.signature)
 
 
 def test_witness_order_detects_cycle():

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -26,6 +30,7 @@ from ctrskit.terms import (
     positions,
     replace_at,
     subterm_at,
+    subterms,
     vars_of,
 )
 from ctrskit.unravel import Rule, Trs, unravel
@@ -322,3 +327,69 @@ def test_failing_bubble_search_stays_small(bubble, monkeypatch):
     monkeypatch.setattr(lpo, "_lpo3", counting)
     assert search_precedence(unravel(bubble)) is None
     assert 0 < calls < 20_000
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(terms_over(), terms_over()), min_size=1, max_size=8),
+    st.randoms(use_true_random=False),
+)
+def test_a_shared_memo_gives_the_verdicts_of_fresh_ones(pairs, rng):
+    # One memo serves a whole search, across partial orders and pairs.
+    above = frozenset()
+    for _ in range(3):
+        f, g = rng.sample(SMALL_SIG, 2)
+        if (f, g) not in above and (g, f) not in above:
+            above = lpo._with(above, f, g)
+    varsets = {u: frozenset(vars_of(u)) for lhs, _ in pairs for u in subterms(lhs)}
+    shared: dict = {}
+    for order in (frozenset(), above, frozenset(), above):
+        for lhs, rhs in pairs:
+            fresh = lpo._lpo3(lhs, rhs, order, varsets, {})
+            assert lpo._lpo3(lhs, rhs, order, varsets, shared) == fresh
+
+
+def _tower(depth: int) -> str:
+    return "s(" * depth + "x" + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "head, verdict, code", [("g", "MAYBE", 2), ("f", "YES", 0)], ids=["unorientable", "orientable"]
+)
+def test_deep_rules_are_decided_within_two_seconds(tmp_path, head, verdict, code):
+    # Without the memo, the comparisons of s-towers meet the same pairs of
+    # subterms exponentially often: at depth 20 the search took seconds.
+    path = tmp_path / "deep.trs"
+    path.write_text(f"(VAR x)\n(RULES\n  {head}({_tower(200)}) -> g({_tower(200)})\n)\n")
+    child = subprocess.run(
+        [sys.executable, "-m", "ctrskit", "prove", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=2,
+        env={**os.environ, "PYTHONPATH": str(Path(ck.__file__).parent.parent)},
+    )
+    assert (child.returncode, child.stdout.splitlines()[0]) == (code, f"verdict: {verdict}")
+
+
+def test_path_order_memo_decides_each_pair_once(monkeypatch):
+    calls = 0
+    real = lpo._lpo3
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(lpo, "_lpo3", counting)
+    g = FunSym("g", 1)
+    tower = Var("x")
+    for _ in range(40):
+        tower = s(tower)
+    lhs = App(g, (tower,))
+    assert search_precedence(Trs.of([_rule(1, lhs, lhs)])) is None
+    # At most one evaluation per pair of the 42 subterms under each of the
+    # three partial orders the search tries; without the memo, over 2**40.
+    assert calls <= 3 * 42 * 42
+    prec = Precedence((S, g))
+    assert not lpo_greater(lhs, lhs, prec)
+    assert lpo_greater(s(lhs), lhs, prec)
