@@ -30,7 +30,7 @@ a plain closure walk over the successor lists, in ``bfs``'s order.
 from __future__ import annotations
 
 from itertools import islice
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .ctrs import (
     DEFAULT_FUEL,
@@ -167,9 +167,6 @@ class BoundsExhausted(NamedTuple):
     fuel: Fuel
 
 
-Certificate = Union[PrecedenceCert, LoopCert, BoundsExhausted]
-
-
 class ProofOutcome(Record):
     """A verdict ("YES", "NO" or "MAYBE") with its certificate.  ``methods``
     holds the per-method answers: "unravel+lpo" (YES or MAYBE), "loop-search"
@@ -177,23 +174,12 @@ class ProofOutcome(Record):
     signature."""
 
     __slots__ = ("verdict", "certificate", "provenance", "diagnostics", "methods")
+    _defaults = {"diagnostics": list, "methods": dict}
 
-    def __init__(
-        self,
-        verdict: str,
-        certificate: Certificate,
-        provenance: str,
-        diagnostics: Optional[list[str]] = None,
-        methods: Optional[dict[str, str]] = None,
-    ) -> None:
+    def _check(self) -> None:
         expected = {"YES": PrecedenceCert, "NO": LoopCert, "MAYBE": BoundsExhausted}
-        if not isinstance(certificate, expected[verdict]):
-            raise ValueError(f"{verdict} verdict with {type(certificate).__name__}")
-        self.verdict = verdict
-        self.certificate = certificate
-        self.provenance = provenance
-        self.diagnostics = [] if diagnostics is None else diagnostics
-        self.methods = {} if methods is None else methods
+        if not isinstance(self.certificate, expected[self.verdict]):
+            raise ValueError(f"{self.verdict} verdict with {type(self.certificate).__name__}")
 
 
 class ProofAlarm(Exception):
@@ -288,20 +274,7 @@ def prove_quasi_decreasing(
 
 class ObligationResult(Record):
     __slots__ = ("number", "name", "passed", "checked", "failures")
-
-    def __init__(
-        self,
-        number: int,
-        name: str,
-        passed: bool,
-        checked: int,
-        failures: Optional[list[str]] = None,
-    ) -> None:
-        self.number = number
-        self.name = name
-        self.passed = passed
-        self.checked = checked
-        self.failures = [] if failures is None else failures
+    _defaults = {"failures": list}
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -310,20 +283,7 @@ class ObligationResult(Record):
 
 class WitnessOrderReport(Record):
     __slots__ = ("sampled_pairs", "obligations", "incomplete", "notes", "chain_instances")
-
-    def __init__(
-        self,
-        sampled_pairs: list[tuple[Term, Term]],
-        obligations: list[ObligationResult],
-        incomplete: bool,
-        notes: Optional[list[str]] = None,
-        chain_instances: Optional[list[dict]] = None,
-    ) -> None:
-        self.sampled_pairs = sampled_pairs
-        self.obligations = obligations
-        self.incomplete = incomplete
-        self.notes = [] if notes is None else notes
-        self.chain_instances = [] if chain_instances is None else chain_instances
+    _defaults = {"notes": list, "chain_instances": list}
 
     @property
     def ok(self) -> bool:

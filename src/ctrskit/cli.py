@@ -316,7 +316,10 @@ def cli_main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_YES
     try:
         return args.func(args)
-    except (ParseError, ValidationError, FileNotFoundError, IsADirectoryError, ValueError) as err:
+    except (
+        ParseError, ValidationError, ValueError,
+        FileNotFoundError, IsADirectoryError, NotADirectoryError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:

@@ -152,20 +152,7 @@ class ReductionGraph(Record):
     """A bounded unfolding of the rewrite relation from one root."""
 
     __slots__ = ("root", "nodes", "edges", "depth", "complete")
-
-    def __init__(
-        self,
-        root: Term,
-        nodes: Optional[list[Term]] = None,
-        edges: Optional[list[ReductionStep]] = None,
-        depth: Optional[dict[Term, int]] = None,
-        complete: bool = True,
-    ) -> None:
-        self.root = root
-        self.nodes = [] if nodes is None else nodes
-        self.edges = [] if edges is None else edges
-        self.depth = {} if depth is None else depth
-        self.complete = complete
+    _defaults = {"nodes": list, "edges": list, "depth": dict, "complete": True}
 
 
 def explore(

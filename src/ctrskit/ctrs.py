@@ -96,15 +96,10 @@ class Violation(NamedTuple):
 
 
 class Dctrs(Frozen):
-    """A validated deterministic conditional system over an original signature."""
+    """A validated deterministic conditional system over an original
+    signature, which is sorted by ``(name, arity)``."""
 
     __slots__ = ("signature", "rules")
-
-    def __init__(
-        self, signature: tuple[FunSym, ...], rules: tuple[ConditionalRule, ...]
-    ) -> None:
-        object.__setattr__(self, "signature", signature)  # sorted by (name, arity)
-        object.__setattr__(self, "rules", rules)
 
     @property
     def conditional_rules(self) -> tuple[ConditionalRule, ...]:
@@ -208,13 +203,11 @@ class Fuel(Frozen):
     """
 
     __slots__ = ("max_level", "max_steps", "max_term_size")
+    _defaults = {"max_level": 8, "max_steps": 500, "max_term_size": 200}
 
-    def __init__(self, max_level: int = 8, max_steps: int = 500, max_term_size: int = 200) -> None:
-        if min(max_level, max_steps, max_term_size) < 1:
+    def _check(self) -> None:
+        if min(self.max_level, self.max_steps, self.max_term_size) < 1:
             raise ValueError("all fuel bounds must be strictly positive")
-        object.__setattr__(self, "max_level", max_level)
-        object.__setattr__(self, "max_steps", max_steps)
-        object.__setattr__(self, "max_term_size", max_term_size)
 
 
 DEFAULT_FUEL = Fuel()
@@ -265,15 +258,14 @@ class Reduction(Frozen):
     """A finite step sequence; adjacent steps must chain source-to-target."""
 
     __slots__ = ("start", "steps")
+    _defaults = {"steps": ()}
 
-    def __init__(self, start: Term, steps: tuple[ReductionStep, ...] = ()) -> None:
-        here = start
-        for step in steps:
+    def _check(self) -> None:
+        here = self.start
+        for step in self.steps:
             if step.source != here:
                 raise ValueError("reduction steps do not chain")
             here = step.target
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "steps", steps)
 
     @property
     def end(self) -> Term:

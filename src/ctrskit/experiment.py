@@ -57,18 +57,9 @@ class ExternalTool(NamedTuple):
 
 class ExperimentConfig(Record):
     __slots__ = ("fuel", "seed_size", "workers", "external_tools")
-
-    def __init__(
-        self,
-        fuel: Fuel = DEFAULT_FUEL,
-        seed_size: int = DEFAULT_SEED_SIZE,
-        workers: int = 1,
-        external_tools: Optional[list[ExternalTool]] = None,
-    ) -> None:
-        self.fuel = fuel
-        self.seed_size = seed_size
-        self.workers = workers
-        self.external_tools = [] if external_tools is None else external_tools
+    _defaults = {
+        "fuel": DEFAULT_FUEL, "seed_size": DEFAULT_SEED_SIZE, "workers": 1, "external_tools": list
+    }
 
 
 # The file an external tool receives, by ``ExternalTool.transform``.
@@ -154,52 +145,22 @@ class SystemRow(Record):
         "error",
         "wall_time",
     )
-
-    def __init__(
-        self,
-        system: str,
-        file: str,
-        status: str,
-        rule_count: int = 0,
-        conditional_count: int = 0,
-        unraveled_count: int = 0,
-        verdict: Optional[str] = None,
-        methods: Optional[dict] = None,
-        certificate: Optional[dict] = None,
-        external: Optional[dict] = None,
-        error: Optional[str] = None,
-        wall_time: float = 0.0,
-    ) -> None:
-        self.system = system
-        self.file = file
-        self.status = status
-        self.rule_count = rule_count
-        self.conditional_count = conditional_count
-        self.unraveled_count = unraveled_count
-        self.verdict = verdict
-        self.methods = {} if methods is None else methods
-        self.certificate = certificate
-        self.external = {} if external is None else external
-        self.error = error
-        self.wall_time = wall_time
+    _defaults = {
+        "rule_count": 0,
+        "conditional_count": 0,
+        "unraveled_count": 0,
+        "verdict": None,
+        "methods": dict,
+        "certificate": None,
+        "external": dict,
+        "error": None,
+        "wall_time": 0.0,
+    }
 
 
 class ExperimentReport(Record):
     __slots__ = ("rows", "summary", "note", "fuel", "total_time")
-
-    def __init__(
-        self,
-        rows: list[SystemRow],
-        summary: dict,
-        note: str = NON_REPRODUCTION_NOTE,
-        fuel: Fuel = DEFAULT_FUEL,
-        total_time: float = 0.0,
-    ) -> None:
-        self.rows = rows
-        self.summary = summary
-        self.note = note
-        self.fuel = fuel
-        self.total_time = total_time
+    _defaults = {"note": NON_REPRODUCTION_NOTE, "fuel": DEFAULT_FUEL, "total_time": 0.0}
 
     def to_dict(self) -> dict:
         return {
@@ -281,7 +242,10 @@ def _process_file(path: Path, config: ExperimentConfig) -> SystemRow:
 
 def run_experiment(directory: str, config: Optional[ExperimentConfig] = None) -> ExperimentReport:
     """Process every ``.ctrs`` file in the directory; per-file failures are
-    recorded as rows and never abort the batch."""
+    recorded as rows and never abort the batch.  A path that is not a
+    directory raises ``NotADirectoryError``."""
+    if not Path(directory).is_dir():
+        raise NotADirectoryError(f"not a directory: {directory}")
     cfg = config if config is not None else ExperimentConfig()
     started = time.monotonic()
     files = sorted(Path(directory).glob("*.ctrs"))

@@ -21,7 +21,7 @@ them.  All printers emit deterministic, re-parseable text.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .ctrs import ConditionalRule, Dctrs, Violation, validate_dctrs
 from .records import Record
@@ -83,13 +83,6 @@ class ProblemFile(Record):
     """A parsed input file plus the metadata needed to interpret terms."""
 
     __slots__ = ("path", "declared_vars", "system")
-
-    def __init__(
-        self, path: str, declared_vars: list[str], system: Union[Dctrs, Trs, Csrs]
-    ) -> None:
-        self.path = path
-        self.declared_vars = declared_vars
-        self.system = system
 
     @property
     def kind(self) -> str:
@@ -266,6 +259,8 @@ class _Parser:
                     if tok.text != "(":
                         raise self.fail(f"expected '(' in STRATEGY, found {tok.text!r}", tok)
                     sym_tok = self.word("a symbol name")
+                    if any(seen.text == sym_tok.text for seen, _ in entries):
+                        raise self.fail(f"duplicate strategy entry for {sym_tok.text!r}", sym_tok)
                     indices: list[int] = []
                     while True:
                         inner = self.take()

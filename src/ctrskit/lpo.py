@@ -38,10 +38,9 @@ class Precedence(Frozen):
 
     __slots__ = ("order",)
 
-    def __init__(self, order: tuple[FunSym, ...]) -> None:
-        if len(set(order)) != len(order):
+    def _check(self) -> None:
+        if len(set(self.order)) != len(self.order):
             raise ValueError("precedence lists a symbol twice")
-        object.__setattr__(self, "order", order)
 
     def __str__(self) -> str:
         return " > ".join(s.name for s in self.order)

@@ -121,9 +121,6 @@ class Var(Frozen):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
-
     def __eq__(self, other: object):
         if other.__class__ is Var:
             return self.name == other.name
@@ -419,9 +416,8 @@ class ReplacementMap(Frozen):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Mapping[FunSym, frozenset[int]]) -> None:
-        object.__setattr__(self, "entries", entries)
-        for sym, indices in entries.items():
+    def _check(self) -> None:
+        for sym, indices in self.entries.items():
             if not indices <= frozenset(range(1, sym.arity + 1)):
                 raise ValueError(
                     f"replacement entry {sorted(indices)} out of range for {sym.name}/{sym.arity}"

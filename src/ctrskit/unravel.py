@@ -22,7 +22,6 @@ from .terms import (
     App,
     FunSym,
     ReplacementMap,
-    Term,
     Var,
     default_u_symbol,
     fun_syms,
@@ -36,15 +35,12 @@ class Rule(Frozen):
 
     __slots__ = ("id", "lhs", "rhs")
 
-    def __init__(self, id: str, lhs: Term, rhs: Term) -> None:
-        if isinstance(lhs, Var):
-            raise ValueError(f"rule {id}: left-hand side is a variable")
-        extra = set(vars_of(rhs)) - set(vars_of(lhs))
+    def _check(self) -> None:
+        if isinstance(self.lhs, Var):
+            raise ValueError(f"rule {self.id}: left-hand side is a variable")
+        extra = set(vars_of(self.rhs)) - set(vars_of(self.lhs))
         if extra:
-            raise ValueError(f"rule {id}: unbound right-hand variables {sorted(extra)}")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+            raise ValueError(f"rule {self.id}: unbound right-hand variables {sorted(extra)}")
 
     def __str__(self) -> str:
         return f"{term_to_str(self.lhs)} -> {term_to_str(self.rhs)}"
@@ -62,10 +58,6 @@ class Trs(Frozen):
 
     __slots__ = ("signature", "rules")
 
-    def __init__(self, signature: tuple[FunSym, ...], rules: tuple[Rule, ...]) -> None:
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "rules", rules)
-
     @classmethod
     def of(cls, rules: Sequence[Rule], extra_symbols: Sequence[FunSym] = ()) -> "Trs":
         return cls(_signature_of(rules, extra_symbols), tuple(rules))
@@ -75,13 +67,6 @@ class Csrs(Frozen):
     """A TRS paired with a replacement map restricting rewrite positions."""
 
     __slots__ = ("signature", "rules", "mu")
-
-    def __init__(
-        self, signature: tuple[FunSym, ...], rules: tuple[Rule, ...], mu: ReplacementMap
-    ) -> None:
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "mu", mu)
 
 
 def evar_sequence(rule: ConditionalRule, i: int) -> list[str]:

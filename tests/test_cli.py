@@ -247,6 +247,17 @@ def test_experiment_empty_dir(tmp_path, capsys):
     assert "YES=0 NO=0 MAYBE=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_experiment_path_that_is_not_a_directory(tmp_path, capsys, kind):
+    path = tmp_path / "corpus"
+    if kind == "file":
+        path.write_text("(RULES a -> b)\n")
+    assert cli_main(["experiment", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "summary:" not in captured.out
+    assert captured.err == f"error: not a directory: {path}\n"
+
+
 @pytest.mark.parametrize("command", ["prove", "check-witness", "experiment"])
 def test_seeds_size_must_be_positive(tmp_path, capsys, command):
     target = str(CORPUS) if command == "experiment" else corpus("less")

@@ -211,6 +211,13 @@ def test_strategy_errors():
         parse_problem("(RULES a -> b)\n(STRATEGY INNERMOST)")
 
 
+def test_duplicate_strategy_entry():
+    text = "(VAR x)\n(RULES f(g(x)) -> x)\n(STRATEGY CONTEXTSENSITIVE (f) (f 1))"
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert err.value.diagnostics == [Diagnostic(3, 33, "duplicate strategy entry for 'f'")]
+
+
 def test_empty_system_skeleton():
     empty = Trs((), ())
     text = print_trs(empty)

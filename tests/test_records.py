@@ -11,6 +11,7 @@ import pytest
 import ctrskit as ck
 from ctrskit.experiment import ExperimentConfig, ExperimentReport, ExternalTool, SystemRow
 from ctrskit.fmt import Token
+from ctrskit.records import Record
 
 S = ck.FunSym("s", 1)
 ZERO = ck.FunSym("0", 0)
@@ -219,6 +220,22 @@ def test_keyword_construction_and_defaults():
     assert (outcome.diagnostics, outcome.methods) == ([], {})
     graph = ck.ReductionGraph(one)
     assert (graph.nodes, graph.edges, graph.depth, graph.complete) == ([], [], {}, True)
+    # A default given as a type is called afresh for each record.
+    fresh = [
+        (lambda: SystemRow("s", "s.ctrs", "ok"), ("methods", "external")),
+        (
+            lambda: ck.ProofOutcome("MAYBE", ck.BoundsExhausted(ck.Fuel()), "p"),
+            ("diagnostics", "methods"),
+        ),
+        (lambda: ck.ObligationResult(1, "n", True, 0), ("failures",)),
+        (lambda: ck.WitnessOrderReport([], [], False), ("notes", "chain_instances")),
+        (lambda: ck.ReductionGraph(one), ("nodes", "edges", "depth")),
+    ]
+    for build, fields in fresh:
+        a, b = build(), build()
+        for field in fields:
+            assert getattr(a, field) == getattr(b, field)
+            assert getattr(a, field) is not getattr(b, field)
 
 
 def test_repr_names_the_fields_in_order():
@@ -238,3 +255,33 @@ def test_dict_forms_keep_the_field_order():
         "system", "file", "status", "rule_count", "conditional_count", "unraveled_count",
         "verdict", "methods", "certificate", "external", "error", "wall_time",
     ]
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [sub for direct in cls.__subclasses__() for sub in (direct, *_subclasses(direct))]
+
+
+def test_records_share_the_one_constructor():
+    records = _subclasses(Record)
+    assert {cls.__name__ for cls in records} >= {*FROZEN, *MUTABLE, "Frozen"}
+    assert [cls.__name__ for cls in records if "__init__" in vars(cls)] == []
+
+
+@pytest.mark.parametrize("name", [*FROZEN, *MUTABLE])
+def test_bad_arguments_raise_type_error_naming_the_class(name):
+    record = ALL[name]()
+    cls, values, names = type(record), record._values(), type(record).__slots__
+    fields = dict(zip(names, values))
+    required = [field for field in names if field not in cls._defaults]
+    assert required or name in ("Fuel", "ExperimentConfig")
+    for build in (
+        lambda: cls(*values, None),
+        lambda: cls(*values, unknown_field=1),
+        lambda: cls(*values, **{names[0]: values[0]}),
+        *(
+            lambda field=field: cls(**{n: v for n, v in fields.items() if n != field})
+            for field in required
+        ),
+    ):
+        with pytest.raises(TypeError, match=rf"^{name}\(\) "):
+            build()
