@@ -128,8 +128,8 @@ def _tool(section: str, entry) -> ExternalTool:
 
 
 class SystemRow(Record):
-    """One system's row; ``status`` is "ok", "parse-error", "invalid" or
-    "alarm"."""
+    """One system's row; ``status`` is "ok", "parse-error", "invalid",
+    "alarm" or "unreadable" (the file could not be read or decoded)."""
 
     __slots__ = (
         "system",
@@ -200,42 +200,33 @@ def _run_external(tool: ExternalTool, exported: str) -> str:
             pass
 
 
+# A failing file's row status, by the exception it fails with.
+_FAILED = {
+    ParseError: "parse-error", ValidationError: "invalid", ProofAlarm: "alarm",
+    OSError: "unreadable", UnicodeDecodeError: "unreadable",
+}
+
+
 def _process_file(path: Path, config: ExperimentConfig) -> SystemRow:
     row = SystemRow(system=path.stem, file=path.name, status="ok")
     started = time.monotonic()
     try:
-        text = path.read_text()
-        system = parse_ctrs(text, str(path))
-    except ParseError as err:
-        row.status = "parse-error"
-        row.error = str(err)
-        row.wall_time = time.monotonic() - started
-        return row
-    except ValidationError as err:
-        row.status = "invalid"
-        row.error = str(err)
-        row.wall_time = time.monotonic() - started
-        return row
-
-    row.rule_count = len(system.rules)
-    row.conditional_count = len(system.conditional_rules)
-    row.unraveled_count = len(unravel(system).rules)
-    try:
+        system = parse_ctrs(path.read_text(), str(path))
+        row.rule_count = len(system.rules)
+        row.conditional_count = len(system.conditional_rules)
+        row.unraveled_count = len(unravel(system).rules)
         outcome = prove_quasi_decreasing(system, config.fuel, seed_size=config.seed_size)
-    except ProofAlarm as alarm:
-        row.status = "alarm"
-        row.error = str(alarm)
-        row.methods = alarm.methods
-        row.wall_time = time.monotonic() - started
-        return row
-    row.methods = outcome.methods
-    row.verdict = outcome.verdict
-    if outcome.verdict != "MAYBE":
-        row.certificate = certificate_dict(outcome.certificate)
-
-    for tool in config.external_tools:
-        row.external[tool.name] = _run_external(tool, _EXPORTS[tool.transform](system))
-
+    except tuple(_FAILED) as err:
+        row.status = next(status for kind, status in _FAILED.items() if isinstance(err, kind))
+        row.error = str(err)
+        row.methods = getattr(err, "methods", row.methods)  # an alarm's answers
+    else:
+        row.methods = outcome.methods
+        row.verdict = outcome.verdict
+        if outcome.verdict != "MAYBE":
+            row.certificate = certificate_dict(outcome.certificate)
+        for tool in config.external_tools:
+            row.external[tool.name] = _run_external(tool, _EXPORTS[tool.transform](system))
     row.wall_time = time.monotonic() - started
     return row
 

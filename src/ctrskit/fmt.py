@@ -248,6 +248,8 @@ class _Parser:
                         break
                     sections["rules"].append(self.rule())
             elif name == "STRATEGY":
+                if sections["strategy"] is not None:
+                    raise self.fail("duplicate STRATEGY section", keyword)
                 tag = self.word("a strategy tag")
                 if tag.text.upper() != "CONTEXTSENSITIVE":
                     raise self.fail(f"unsupported strategy {tag.text!r}", tag)

@@ -26,6 +26,14 @@ def load_problem(name: str) -> ck.ProblemFile:
     return ck.parse_problem(corpus_text(name), name)
 
 
+def unreadable_entries(directory: Path) -> None:
+    """A copy of ``less.ctrs`` next to a directory and a non-UTF-8 file,
+    both named ``*.ctrs``."""
+    (directory / "less.ctrs").write_text(corpus_text("less"))
+    (directory / "sub.ctrs").mkdir()
+    (directory / "bad.ctrs").write_bytes(b"(VAR x)\n(RULES f(x) -> \xff)\n")
+
+
 def term_of(name: str, text: str):
     return ck.parse_term(text, load_problem(name))
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, unreadable_entries
 
 import ctrskit as ck
 from ctrskit import checker, cli
@@ -100,6 +100,21 @@ def test_conditional_rules_with_a_strategy_are_rejected(tmp_path, capsys, comman
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: 1:46: conditional rules cannot take a STRATEGY section\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["validate"], ["rewrite", "-t", "f(a)", "--successors"]], ids=["validate", "rewrite"]
+)
+def test_a_second_strategy_section_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "twice.trs"
+    path.write_text(
+        "(VAR x)(SIG (a 0))(RULES f(x) -> x)\n"
+        "(STRATEGY CONTEXTSENSITIVE (f))\n(STRATEGY CONTEXTSENSITIVE (f 1))"
+    )
+    assert cli_main([command[0], str(path), *command[1:]]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 3:2: duplicate STRATEGY section\n"
 
 
 def test_complete_condition_searches_leave_the_witness_check_complete(tmp_path, capsys):
@@ -245,6 +260,18 @@ def test_experiment_empty_dir(tmp_path, capsys):
     code = cli_main(["experiment", str(tmp_path)])
     assert code == 0
     assert "YES=0 NO=0 MAYBE=0" in capsys.readouterr().out
+
+
+def test_experiment_with_unreadable_entries(tmp_path, capsys):
+    unreadable_entries(tmp_path)
+    assert cli_main(["experiment", str(tmp_path), "--seeds-size", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines[1:4]] == [
+        ["bad", "-", "-", "-", "unreadable"],
+        ["less", "YES", "YES", "MAYBE", "ok"],
+        ["sub", "-", "-", "-", "unreadable"],
+    ]
+    assert lines[4] == "summary: YES=1 NO=0 MAYBE=0 error=2"
 
 
 @pytest.mark.parametrize("kind", ["missing", "file"])

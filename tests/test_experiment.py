@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, load_system
+from conftest import CORPUS, load_system, unreadable_entries
 
 import ctrskit as ck
 import ctrskit.checker as checker
@@ -82,6 +82,19 @@ def test_bad_files_become_rows(tmp_path):
     assert by_system["broken"].status == "parse-error"
     assert by_system["invalid"].status == "invalid"
     assert by_system["good"].verdict == "YES"
+    assert report.summary["error"] == 2
+
+
+def test_unreadable_files_become_rows(tmp_path):
+    unreadable_entries(tmp_path)
+    report = run_experiment(str(tmp_path), small_config())
+    rows = {r.system: r for r in report.rows}
+    assert [r.system for r in report.rows] == ["bad", "less", "sub"]
+    for name in ("bad", "sub"):
+        assert (rows[name].status, rows[name].verdict) == ("unreadable", None)
+    assert "Is a directory" in rows["sub"].error
+    assert "can't decode byte 0xff" in rows["bad"].error
+    assert (rows["less"].status, rows["less"].verdict) == ("ok", "YES")
     assert report.summary["error"] == 2
 
 

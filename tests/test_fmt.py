@@ -218,6 +218,17 @@ def test_duplicate_strategy_entry():
     assert err.value.diagnostics == [Diagnostic(3, 33, "duplicate strategy entry for 'f'")]
 
 
+def test_duplicate_strategy_section():
+    # A second section would silently replace the first one's map.
+    text = (
+        "(VAR x)\n(RULES f(g(x)) -> x)\n"
+        "(STRATEGY CONTEXTSENSITIVE (f))\n(STRATEGY CONTEXTSENSITIVE (f 1))"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert err.value.diagnostics == [Diagnostic(4, 2, "duplicate STRATEGY section")]
+
+
 def test_empty_system_skeleton():
     empty = Trs((), ())
     text = print_trs(empty)

@@ -103,14 +103,10 @@ def reference_successors(engine, s, budget):
 
 
 def reference_has_syntactic_redex(engine, t):
-    cached = engine._redex_cache.get(t)
-    if cached is None:
-        cached = isinstance(t, App) and (
-            any(match(rule.lhs, t) is not None for rule, _ in engine._rules_at.get(t.sym, ()))
-            or any(engine._has_syntactic_redex(arg) for arg in t.args)
-        )
-        engine._redex_cache[t] = cached
-    return cached
+    return isinstance(t, App) and (
+        any(match(rule.lhs, t) is not None for rule, _ in engine._rules_at.get(t.sym, ()))
+        or any(reference_has_syntactic_redex(engine, arg) for arg in t.args)
+    )
 
 
 def recursive_engine(system, fuel):
@@ -236,7 +232,6 @@ def test_conditional_engine_spends_its_budget_like_the_recursion(max_steps, seed
             if got.reduction is not None:
                 assert full(got.reduction.steps) == full(want.reduction.steps)
     assert engine._step_cache.keys() == reference._step_cache.keys()
-    assert engine._redex_cache == reference._redex_cache
 
 
 # -- depth -----------------------------------------------------------------------
@@ -273,9 +268,13 @@ cs = ck.unravel_cs(problem.system)
 assert len(mu_proper_subterms(deep, cs.mu)) == depth + 4
 (step,) = MuEngine(cs).steps(deep)
 assert step.position == bottom and step.rule_id == "r4.1"
-steps, exhausted = ConditionalEngine(problem.system).all_steps(deep)
+engine = ConditionalEngine(problem.system)
+steps, exhausted = engine.all_steps(deep)
 assert not exhausted and [(st.position, st.rule_id) for st in steps] == [(bottom, "r4")]
 assert steps[0].target is under_s(swapped)
+# The level-0 redex test; a one-element list as deep as the redex is a normal form.
+assert engine._has_syntactic_redex(deep)
+assert not engine._has_syntactic_redex(under_s(term(":(s(s(0)),nil)")))
 print("ok")
 """
 
