@@ -280,6 +280,13 @@ class ObligationResult(Record):
         status = "pass" if self.passed else "FAIL"
         return f"({self.number}) {self.name}: {status} [{self.checked} checks]"
 
+    def refute(self, failure: str, cut: bool = False) -> None:
+        """Fail the obligation with ``failure``, unless a bound ``cut`` the
+        evidence short: that only leaves the report incomplete."""
+        if not cut:
+            self.passed = False
+            self.failures.append(failure)
+
 
 class WitnessOrderReport(Record):
     __slots__ = ("sampled_pairs", "obligations", "incomplete", "notes", "chain_instances")
@@ -350,16 +357,22 @@ def validate_witness_order(
     the seeds and check the four quasi-decreasingness obligations.
 
     The sampled order relates original terms connected by a nonempty path of
-    rewrite steps and active-subterm steps in the unraveled system.  Six
-    module constants cap the sample: ``MAX_GRAPH_EXPANSIONS`` (expansions of
-    the combined graph, also held to ``fuel.max_steps`` per seed),
-    ``MAX_SOURCES`` (original terms used as sources), ``MAX_PAIRS`` (pairs
-    sampled for obligation 2), ``MAX_STEPS_PER_SOURCE`` (steps simulated per
-    source for obligation 3), and for obligation 4 ``MAX_RULE_INSTANCES``
-    (left-hand-side instances per conditional rule) and
-    ``MAX_SOLUTIONS_PER_CONDITION`` (condition solutions tried per instance
-    and condition).  The first marks the report incomplete and the second
-    leaves a note; the other four cut the sample without a trace.
+    rewrite steps and active-subterm steps in the unraveled system.  A search
+    or graph that a bound cuts short marks the report incomplete, and only
+    complete evidence fails an obligation: (1) a cycle through an original
+    term, (2) a proper subterm missed in a combined graph that no bound cut,
+    (3) a saturated simulation search without a reduction, (4) a saturated
+    waypoint search without a path, or a condition source that is not an
+    active subterm of the waypoint.  Six module constants cap the sample:
+    ``MAX_GRAPH_EXPANSIONS`` (expansions of the combined graph, also held to
+    ``fuel.max_steps`` per seed), ``MAX_SOURCES`` (original terms used as
+    sources), ``MAX_PAIRS`` (pairs sampled for obligation 2),
+    ``MAX_STEPS_PER_SOURCE`` (steps simulated per source for obligation 3),
+    and for obligation 4 ``MAX_RULE_INSTANCES`` (left-hand-side instances
+    per conditional rule) and ``MAX_SOLUTIONS_PER_CONDITION`` (condition
+    solutions tried per instance and condition).  The first marks the report
+    incomplete and the second leaves a note; the other four cut the sample
+    without a trace.
     """
     for seed in seeds:
         if not is_original(seed):
@@ -370,22 +383,21 @@ def validate_witness_order(
     cond_engine = ConditionalEngine(system, fuel)
     notes: list[str] = []
 
-    nodes, succ, incomplete = _combined_graph(seeds, fuel, mu_engine)
+    nodes, succ, graph_cut = _combined_graph(seeds, fuel, mu_engine)
+    incomplete = graph_cut
     original_nodes = [t for t in nodes if is_original(t)]
     if len(original_nodes) > MAX_SOURCES:
-        notes.append(
-            f"sampling capped at {MAX_SOURCES} of {len(original_nodes)} original terms"
-        )
+        notes.append(f"sampling capped at {MAX_SOURCES} of {len(original_nodes)} original terms")
         original_nodes = original_nodes[:MAX_SOURCES]
 
     # Obligation 1: the sampled relation is acyclic (bounded stand-in for
     # well-foundedness).
     cycle = dfs(nodes, succ, lambda ts: any(map(is_original, ts)), target=_itself).cycle
-    ob1 = ObligationResult(1, "well-founded on original terms", cycle is None, len(nodes))
+    ob1 = ObligationResult(1, "well-founded on original terms", True, len(nodes))
     if cycle is not None:
         # Rotate so the cycle starts at an original term.
         k = next(j for j, t in enumerate(cycle) if is_original(t))
-        ob1.failures.append(" > ".join(term_to_str(t) for t in cycle[k:-1] + cycle[: k + 1]))
+        ob1.refute(" > ".join(term_to_str(t) for t in cycle[k:-1] + cycle[: k + 1]))
 
     # Sampled pairs and per-source reachability: the closure of the finished
     # successor lists from the successors of each source, so only nonempty
@@ -404,9 +416,11 @@ def validate_witness_order(
 
     # Obligation 2: closure under plain proper subterms on the original side.
     # Targets repeat across sources, so each one's proper subterms are
-    # listed once; a pair whose subterms are all reached needs no loop.
+    # listed once; a pair whose subterms are all reached needs no loop.  The
+    # check stops at the sixth missed subterm, whether or not it is evidence.
     ob2 = ObligationResult(2, "closed under proper subterms", True, 0)
     proper: dict[Term, tuple[Term, ...]] = {}
+    misses = 0
     for source, target in sampled_pairs:
         subs = proper.get(target)
         if subs is None:
@@ -417,13 +431,12 @@ def validate_witness_order(
         for sub in subs:
             ob2.checked += 1
             if sub not in reach[source]:
-                ob2.passed = False
-                ob2.failures.append(
-                    f"{term_to_str(source)} > {term_to_str(target)} but not > {term_to_str(sub)}"
-                )
-                if len(ob2.failures) > 5:
+                misses += 1
+                pair = f"{term_to_str(source)} > {term_to_str(target)}"
+                ob2.refute(f"{pair} but not > {term_to_str(sub)}", graph_cut)
+                if misses > 5:
                     break
-        if len(ob2.failures) > 5:
+        if misses > 5:
             break
 
     # Obligation 3: every sampled conditional-system step is in the order,
@@ -435,20 +448,16 @@ def validate_witness_order(
         for step in steps[:MAX_STEPS_PER_SOURCE]:
             ob3.checked += 1
             try:
-                result = check_simulation(step, cs, fuel, engine=mu_engine)
-            except SimulationAlarm as alarm:
-                ob3.passed = False
-                ob3.failures.append(str(alarm))
-                continue
-            if not result.found:
-                incomplete = True
-                ob3.failures.append(f"search exhausted simulating {step}")
-                ob3.passed = False
-            else:
-                sampled_pairs.append((step.source, step.target))
+                if check_simulation(step, cs, fuel, engine=mu_engine).found:
+                    sampled_pairs.append((step.source, step.target))
+                else:  # not found within bounds: the search was cut
+                    incomplete = True
+            except SimulationAlarm as alarm:  # the search saturated without one
+                ob3.refute(str(alarm))
 
     # Obligation 4: from each instantiated left-hand side, the order reaches
-    # the next condition source once the earlier conditions hold.
+    # the next condition source once the earlier conditions hold: the waypoint
+    # is reached only by rewriting each earlier condition source to its target.
     ob4 = ObligationResult(4, "decreases into condition sources", True, 0)
     chain_instances: list[dict] = []
     for rule in system.conditional_rules:
@@ -469,17 +478,6 @@ def validate_witness_order(
                 for sigma in solutions[:MAX_SOLUTIONS_PER_CONDITION]:
                     if instances >= MAX_RULE_INSTANCES:
                         break
-                    verified = True
-                    for s_j, t_j in rule.conditions[:i]:
-                        reach_res = cond_engine.reachable(
-                            apply_subst(s_j, sigma), apply_subst(t_j, sigma)
-                        )
-                        incomplete = incomplete or reach_res.exhausted
-                        if reach_res.reduction is None:
-                            verified = False
-                            break
-                    if not verified:
-                        continue
                     instances += 1
                     ob4.checked += 1
                     waypoint = apply_subst(generated[i].rhs, sigma)
@@ -487,29 +485,21 @@ def validate_witness_order(
                     search = _mu_search(mu_engine, source, waypoint, fuel)
                     incomplete = incomplete or search.exhausted
                     if search.path is None:
-                        ob4.passed = False
-                        ob4.failures.append(
-                            f"{term_to_str(source)} cannot reach {term_to_str(waypoint)}"
-                        )
+                        failure = f"{term_to_str(source)} cannot reach {term_to_str(waypoint)}"
+                        ob4.refute(failure, search.exhausted)
                         continue
                     if next_source not in mu_proper_subterms(waypoint, cs.mu):
-                        ob4.passed = False
-                        ob4.failures.append(
+                        ob4.refute(
                             f"{term_to_str(next_source)} not an active subterm of "
                             f"{term_to_str(waypoint)}"
                         )
                         continue
                     sampled_pairs.append((source, next_source))
-                    chain_instances.append(
-                        {
-                            "rule": rule.id,
-                            "condition_index": i + 1,
-                            "lhs_instance": source,
-                            "waypoint": waypoint,
-                            "condition_source_instance": next_source,
-                            "reduction_length": len(search.path),
-                        }
-                    )
+                    chain_instances.append({
+                        "rule": rule.id, "condition_index": i + 1, "lhs_instance": source,
+                        "waypoint": waypoint, "condition_source_instance": next_source,
+                        "reduction_length": len(search.path),
+                    })
 
     return WitnessOrderReport(
         sampled_pairs=sampled_pairs,

@@ -121,23 +121,26 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     term = parse_term(args.term, problem)
     fuel = _fuel_from(args)
     if isinstance(problem.system, Dctrs) and not args.mu:
-        engine = ConditionalEngine(problem.system, fuel)
-        succ = lambda t: engine.all_steps(t).steps
+        succ = ConditionalEngine(problem.system, fuel).all_steps
     else:
-        # Plain TRS inputs rewrite under the full replacement map.
-        succ = MuEngine(_as_csrs(problem)).steps
+        # No condition search, so no bound cuts these steps; plain TRS inputs
+        # rewrite under the full replacement map.
+        mu_steps = MuEngine(_as_csrs(problem)).steps
+        succ = lambda t: (mu_steps(t), False)
 
     if args.successors:
-        steps = list(succ(term))
-        if not steps:
-            print("no successors (normal form)")
+        steps, cut = succ(term)
         for step in steps:
             print(step)
+        if not steps:
+            print("no successors found within bounds" if cut else "no successors (normal form)")
+        elif cut:
+            print("note: the step search hit its bounds; more successors may exist")
     else:
         trace = [term]
         seen = {term}
         for _ in range(fuel.max_steps):
-            steps = succ(trace[-1])
+            steps, cut = succ(trace[-1])
             if not steps:
                 break
             trace.append(steps[0].target)
@@ -145,6 +148,9 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
                 break
             seen.add(trace[-1])
         print(" ->\n".join(f"  {term_to_str(t)}" for t in trace))
+        cut = cut and not steps
+        if cut:
+            print("note: the step search hit its bounds at the last term")
 
     if args.dot or args.graph_json:
         # Graph export always uses the active-position relation (for plain
@@ -154,7 +160,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
             _write_or_print(graph_dot(graph), args.dot)
         if args.graph_json:
             _write_or_print(to_json(graph_dict(graph, verdict)), args.graph_json)
-    return EXIT_YES
+    return EXIT_MAYBE if cut else EXIT_YES
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -203,7 +203,9 @@ def mu_terminating_on_seeds(
     from the memo: ``explore`` would expand every node, drop no edge, find
     no cycle and return that height.  Every other seed goes through
     ``explore``, so loops, their witnesses and unknowns are exactly as
-    ``explore`` gives them.
+    ``explore`` gives them.  It answers such a seed "loop" or "unknown"
+    only: the seed reaches a cycle, which a complete graph shows, or an
+    oversize step or more than ``max_steps`` terms, which cut the graph.
     """
     for seed in seeds:
         if not is_original(seed):
@@ -211,7 +213,7 @@ def mu_terminating_on_seeds(
     eng = MuEngine(system)
     settled: dict[Term, tuple[int, int]] = {}
     max_depth = 0
-    any_unknown = False
+    unknown: Optional[MuVerdict] = None
     for seed in seeds:
         known = settled.get(seed) or _settle(seed, eng, fuel, settled)
         if known is not None and (
@@ -223,13 +225,8 @@ def mu_terminating_on_seeds(
         _, verdict = explore(seed, system, fuel, engine=eng)
         if verdict.is_loop:
             return verdict
-        if verdict.outcome == "unknown":
-            any_unknown = True
-        else:
-            max_depth = max(max_depth, verdict.bound or 0)
-    if any_unknown:
-        return MuVerdict.unknown(fuel)
-    return MuVerdict.terminates_within(max_depth)
+        unknown = verdict
+    return unknown or MuVerdict.terminates_within(max_depth)
 
 
 def _settle(

@@ -54,6 +54,12 @@ class ExternalTool(NamedTuple):
     transform: str = "ucs"
     timeout: float = 60.0
 
+    def argv(self, path: str) -> list[str]:
+        """``command`` split as a shell would, with ``path`` for ``{file}``."""
+        import shlex  # only a configured external tool needs it
+
+        return [part.format(file=path) for part in shlex.split(self.command)]
+
 
 class ExperimentConfig(Record):
     __slots__ = ("fuel", "seed_size", "workers", "external_tools")
@@ -124,6 +130,14 @@ def _tool(section: str, entry) -> ExternalTool:
             f"config {section}: field 'transform' must be one of {sorted(_EXPORTS)}: "
             f"{tool.transform!r}"
         )
+    if not tool.timeout > 0:
+        raise ValueError(f"config {section}: field 'timeout' must be positive: {tool.timeout!r}")
+    try:
+        tool.argv("export.trs")
+    except (ValueError, LookupError, AttributeError) as err:
+        raise ValueError(
+            f"config {section}: field 'command' is not a valid template: {err!r}"
+        ) from None
     return tool
 
 
@@ -175,29 +189,20 @@ class ExperimentReport(Record):
 
 def _run_external(tool: ExternalTool, exported: str) -> str:
     # Only a configured external tool needs these modules.
-    import shlex
     import subprocess
     import tempfile
 
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".trs", prefix="ctrskit-", delete=False
-    ) as handle:
-        handle.write(exported)
-        tmp_path = handle.name
-    try:
-        argv = [part.format(file=tmp_path) for part in shlex.split(tool.command)]
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=tool.timeout, check=False
-        )
-        first = (proc.stdout.splitlines() or [""])[0].strip().upper()
-        return first if first in {"YES", "NO", "MAYBE"} else "ERROR"
-    except (OSError, subprocess.TimeoutExpired):
-        return "ERROR"
-    finally:
+    with tempfile.TemporaryDirectory(prefix="ctrskit-", ignore_cleanup_errors=True) as tmp:
+        path = os.path.join(tmp, "export.trs")
+        Path(path).write_text(exported)
         try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
+            proc = subprocess.run(
+                tool.argv(path), capture_output=True, text=True, timeout=tool.timeout, check=False
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return "ERROR"
+    first = (proc.stdout.splitlines() or [""])[0].strip().upper()
+    return first if first in {"YES", "NO", "MAYBE"} else "ERROR"
 
 
 # A failing file's row status, by the exception it fails with.

@@ -232,7 +232,7 @@ class _Parser:
                         raise self.fail(f"expected '(' in SIG, found {tok.text!r}", tok)
                     sym_tok = self.word("a symbol name")
                     arity_tok = self.word("an arity")
-                    if not arity_tok.text.isdigit():
+                    if not (arity_tok.text.isascii() and arity_tok.text.isdigit()):
                         raise self.fail(f"arity must be a number, found {arity_tok.text!r}", arity_tok)
                     if sym_tok.text in self.variables:
                         raise self.fail(f"{sym_tok.text!r} is declared as a variable", sym_tok)
@@ -268,7 +268,7 @@ class _Parser:
                         inner = self.take()
                         if inner.text == ")":
                             break
-                        if not inner.text.isdigit():
+                        if not (inner.text.isascii() and inner.text.isdigit()):
                             raise self.fail(f"expected an index, found {inner.text!r}", inner)
                         indices.append(int(inner.text))
                     entries.append((sym_tok, indices))

@@ -18,7 +18,7 @@ from ctrskit.checker import (
     prove_quasi_decreasing,
     validate_witness_order,
 )
-from ctrskit.ctrs import ConditionalEngine, ConditionalRule, Fuel, validate_dctrs
+from ctrskit.ctrs import ConditionalEngine, ConditionalRule, Fuel, dfs, validate_dctrs
 from ctrskit.csrewrite import MuEngine, enumerate_original_terms
 from ctrskit.lpo import orients
 from ctrskit.terms import App, FunSym, Var, term_to_str
@@ -187,6 +187,21 @@ def test_witness_order_detects_cycle():
     ob1 = report.obligation(1)
     assert not ob1.passed
     assert ob1.failures and "a" in ob1.failures[0]
+
+
+def test_witness_order_passes_over_cycles_of_unraveled_terms_only():
+    # f(c) -> U1_r2(g(c),c), whose active argument g(c) rewrites to itself:
+    # the depth-first search meets U1_r2(g(c),c) > U1_r2(g(c),c) first, a
+    # cycle with no original term, which obligation 1 must pass over.
+    system = ck.parse_ctrs("(VAR x) (RULES g(x) -> g(x)  f(x) -> x | g(c) == d)")
+    seeds = enumerate_original_terms(system.signature, 2)
+    cs = unravel_cs(system)
+    nodes, succ, _ = checker._combined_graph(seeds, Fuel(), MuEngine(cs))
+    first = dfs(nodes, succ, target=checker._itself).cycle
+    assert [term_to_str(t) for t in first] == ["U1_r2(g(c),c)", "U1_r2(g(c),c)"]
+    report = validate_witness_order(system, seeds)
+    assert report.obligation(1).failures == ["g(c) > g(c)"]
+    assert [ob.passed for ob in report.obligations] == [False, True, True, True]
 
 
 def test_witness_order_vacuous_condition_obligation():

@@ -169,6 +169,38 @@ def test_rewrite_normal_form_message(capsys):
     assert "normal form" in capsys.readouterr().out
 
 
+# A step search cut short by a bound is not a normal form: both modes say
+# so and exit 2, as simulate does.
+@pytest.mark.parametrize(
+    "mode, expected",
+    [
+        (["--successors"], "no successors found within bounds\n"),
+        ([], "  :(0,:(s(0),nil))\nnote: the step search hit its bounds at the last term\n"),
+    ],
+    ids=["successors", "trace"],
+)
+def test_rewrite_with_a_cut_step_search_exits_2(capsys, mode, expected):
+    argv = ["rewrite", corpus("bubble_sort"), "-t", ":(0,:(s(0),nil))", "--max-steps", "1"]
+    assert cli_main(argv + mode) == 2
+    assert capsys.readouterr().out == expected
+
+
+def test_rewrite_successors_found_by_a_cut_search_exit_2(tmp_path, capsys):
+    # h(c) never reaches c, so the second rule's condition search is always
+    # cut, while the first rule still gives a successor.
+    path = tmp_path / "cut.ctrs"
+    path.write_text(
+        "(CONDITIONTYPE ORIENTED)\n(VAR x)\n"
+        "(RULES\n  f(x) -> x\n  f(x) -> g(x) | h(x) == c\n  h(x) -> h(s(x))\n)\n"
+    )
+    assert cli_main(["rewrite", str(path), "-t", "f(c)", "--successors"]) == 2
+    assert capsys.readouterr().out == (
+        "f(c) -> c [r1 @ e]\nnote: the step search hit its bounds; more successors may exist\n"
+    )
+    assert cli_main(["rewrite", str(path), "-t", "f(c)"]) == 0
+    assert capsys.readouterr().out == "  f(c) ->\n  c\n"
+
+
 def test_rewrite_graph_exports(tmp_path):
     dot = tmp_path / "g.dot"
     gjson = tmp_path / "g.json"
@@ -241,6 +273,24 @@ def test_check_witness_failure(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+# Bounds that cut the witness check's searches leave it incomplete (exit 2):
+# on these quasi-decreasing systems each used to report a FAIL (exit 1).
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        ("fib_pairs", ["--seeds-size", "2", "--max-steps", "1"]),
+        ("last_cond", ["--seeds-size", "4", "--max-steps", "1"]),
+        ("parity_cond", ["--seeds-size", "4", "--max-term-size", "5"]),
+    ],
+    ids=["graph-cut", "simulation-cut", "waypoint-cut"],
+)
+def test_check_witness_cut_by_a_bound_is_incomplete_not_failed(capsys, name, flags):
+    assert cli_main(["check-witness", corpus(name), *flags]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert out.endswith("note: some searches hit their bounds; the sample is incomplete\n")
+
+
 def test_experiment_cli(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli_main(
@@ -254,6 +304,38 @@ def test_experiment_cli(tmp_path, capsys):
     assert doc["summary"]["NO"] >= 1
     assert doc["summary"]["MAYBE"] >= 1
     assert len(doc["rows"]) == len(list(CORPUS.glob("*.ctrs")))
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (
+            {"command": "awk {print} {file}"},
+            "field 'command' is not a valid template: KeyError('print')",
+        ),
+        (
+            {"command": "tool 'x {file}"},
+            "field 'command' is not a valid template: ValueError('No closing quotation')",
+        ),
+        ({"command": "cat {file}", "timeout": -1}, "field 'timeout' must be positive: -1"),
+    ],
+    ids=["unknown-placeholder", "unclosed-quote", "negative-timeout"],
+)
+def test_experiment_with_a_bad_tool_entry_runs_no_row(tmp_path, capsys, entry, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"external_tools": [{"name": "x", **entry}]}))
+    assert cli_main(["experiment", str(CORPUS), "--config", str(config)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: config external_tools[0]: {message}\n"
+
+
+def test_experiment_with_a_non_ascii_arity(tmp_path, capsys):
+    (tmp_path / "superscript.ctrs").write_text("(SIG (f ²))\n(RULES a -> b)\n")
+    assert cli_main(["experiment", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "superscript  -        -       -       parse-error" in out
+    assert "summary: YES=0 NO=0 MAYBE=0 error=1" in out
 
 
 def test_experiment_empty_dir(tmp_path, capsys):

@@ -153,6 +153,47 @@ def test_malformed_config_is_an_input_error(tmp_path, capsys, config, message):
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+# External tool entries that cannot run are refused when the config loads,
+# before any row: an unknown placeholder, an unclosed quote, no time to run.
+BAD_TOOL_ENTRIES = {
+    "unknown-placeholder": (
+        {"command": "awk {print} {file}"},
+        "field 'command' is not a valid template: KeyError('print')",
+    ),
+    "unclosed-quote": (
+        {"command": "tool 'x {file}"},
+        "field 'command' is not a valid template: ValueError('No closing quotation')",
+    ),
+    "negative-timeout": (
+        {"command": "cat {file}", "timeout": -1},
+        "field 'timeout' must be positive: -1",
+    ),
+    "zero-timeout": ({"command": "cat {file}", "timeout": 0}, "field 'timeout' must be positive: 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TOOL_ENTRIES))
+def test_external_tool_entries_are_checked_when_the_config_loads(tmp_path, case):
+    fields, message = BAD_TOOL_ENTRIES[case]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"external_tools": [{"name": "x", **fields}]}))
+    with pytest.raises(ValueError) as err:
+        load_config(str(cfg_path))
+    assert str(err.value) == f"config external_tools[0]: {message}"
+
+
+def test_a_non_ascii_digit_in_a_file_is_a_parse_error_row(tmp_path):
+    (tmp_path / "superscript.ctrs").write_text("(SIG (f ²))\n(RULES a -> b)\n")
+    (tmp_path / "good.ctrs").write_text("(VAR x)\n(RULES f(f(x)) -> f(x))\n")
+    report = run_experiment(str(tmp_path), ExperimentConfig(seed_size=2))
+    rows = {r.system: r for r in report.rows}
+    assert (rows["superscript"].status, rows["superscript"].error) == (
+        "parse-error",
+        "1:9: arity must be a number, found '²'",
+    )
+    assert rows["good"].verdict == "YES"
+
+
 def test_external_tool_adapter(tmp_path):
     (tmp_path / "one.ctrs").write_text("(VAR x)\n(RULES f(f(x)) -> f(x))\n")
     yes_tool = ExternalTool(

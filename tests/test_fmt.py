@@ -229,6 +229,41 @@ def test_duplicate_strategy_section():
     assert err.value.diagnostics == [Diagnostic(4, 2, "duplicate STRATEGY section")]
 
 
+# One positioned diagnostic per parser failure; a number must be ASCII
+# digits, since ``str.isdigit`` also takes ``²``, which ``int`` refuses.
+PARSER_DIAGNOSTICS = {
+    "superscript-arity": ("(SIG (f ²))", Diagnostic(1, 9, "arity must be a number, found '²'")),
+    "fullwidth-arity": ("(SIG (f ３))", Diagnostic(1, 9, "arity must be a number, found '３'")),
+    "superscript-index": (
+        "(RULES f(x) -> x)\n(STRATEGY CONTEXTSENSITIVE (f ²))",
+        Diagnostic(2, 31, "expected an index, found '²'"),
+    ),
+    "end-of-input": ("(VAR x", Diagnostic(1, 6, "unexpected end of input")),
+    "expected-word": ("(RULES -> x)", Diagnostic(1, 8, "expected a term, found '->'")),
+    "bad-variable": ("(VAR x ,)", Diagnostic(1, 8, "bad variable name ','")),
+    "sig-paren": ("(SIG f)", Diagnostic(1, 6, "expected '(' in SIG, found 'f'")),
+    "sig-arity": ("(SIG (f two))", Diagnostic(1, 9, "arity must be a number, found 'two'")),
+    "sig-variable": ("(VAR f)\n(SIG (f 1))", Diagnostic(2, 7, "'f' is declared as a variable")),
+    "unclosed-rules": ("(RULES\n  f(x) -> x", Diagnostic(1, 2, "unclosed RULES section")),
+    "strategy-paren": (
+        "(RULES a -> b)\n(STRATEGY CONTEXTSENSITIVE a)",
+        Diagnostic(2, 28, "expected '(' in STRATEGY, found 'a'"),
+    ),
+    "strategy-index": (
+        "(RULES a -> b)\n(STRATEGY CONTEXTSENSITIVE (a x))",
+        Diagnostic(2, 31, "expected an index, found 'x'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_DIAGNOSTICS))
+def test_parser_diagnostics(case):
+    text, diagnostic = PARSER_DIAGNOSTICS[case]
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert err.value.diagnostics == [diagnostic]
+
+
 def test_empty_system_skeleton():
     empty = Trs((), ())
     text = print_trs(empty)
