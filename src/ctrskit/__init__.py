@@ -55,7 +55,7 @@ from .fmt import (
 )
 from .lpo import (
     Precedence,
-    SignatureTooLargeError,
+    SearchRefusedError,
     UnknownSymbolError,
     lpo_greater,
     orients,

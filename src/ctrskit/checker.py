@@ -46,7 +46,7 @@ from .ctrs import (
     within_size,
 )
 from .csrewrite import MuEngine, enumerate_original_terms, mu_terminating_on_seeds
-from .lpo import Precedence, SignatureTooLargeError, orients, search_precedence
+from .lpo import Precedence, SearchRefusedError, orients, search_precedence
 from .records import Record
 from .terms import (
     App,
@@ -171,7 +171,7 @@ class ProofOutcome(Record):
     """A verdict ("YES", "NO" or "MAYBE") with its certificate.  ``methods``
     holds the per-method answers: "unravel+lpo" (YES or MAYBE), "loop-search"
     (NO or MAYBE), and "lpo-note" when the precedence search refused the
-    signature."""
+    signature or the depth of a rule."""
 
     __slots__ = ("verdict", "certificate", "provenance", "diagnostics", "methods")
     _defaults = {"diagnostics": list, "methods": dict}
@@ -218,12 +218,13 @@ def prove_quasi_decreasing(
     precedence: Optional[Precedence] = None
     try:
         precedence = search_precedence(unraveled)
-    except SignatureTooLargeError as err:
+    except SearchRefusedError as err:
         diagnostics.append(str(err))
         methods["lpo-note"] = str(err)
+    else:
+        if precedence is None:
+            diagnostics.append("exhaustive precedence search cannot orient the unraveled system")
     methods["unravel+lpo"] = "MAYBE" if precedence is None else "YES"
-    if precedence is None:
-        diagnostics.append("exhaustive precedence search cannot orient the unraveled system")
 
     seeds = enumerate_original_terms(system.signature, seed_size)
     diagnostics.append(f"enumerated {len(seeds)} ground seed terms up to size {seed_size}")
@@ -362,8 +363,9 @@ def validate_witness_order(
     complete evidence fails an obligation: (1) a cycle through an original
     term, (2) a proper subterm missed in a combined graph that no bound cut,
     (3) a saturated simulation search without a reduction, (4) a saturated
-    waypoint search without a path, or a condition source that is not an
-    active subterm of the waypoint.  Six module constants cap the sample:
+    waypoint search without a path (the waypoint ``U_{i+1}(s_{i+1}, ...)``
+    has the next condition source as its first argument, which is active).
+    Six module constants cap the sample:
     ``MAX_GRAPH_EXPANSIONS`` (expansions of the combined graph, also held to
     ``fuel.max_steps`` per seed), ``MAX_SOURCES`` (original terms used as
     sources), ``MAX_PAIRS`` (pairs sampled for obligation 2),
@@ -487,12 +489,6 @@ def validate_witness_order(
                     if search.path is None:
                         failure = f"{term_to_str(source)} cannot reach {term_to_str(waypoint)}"
                         ob4.refute(failure, search.exhausted)
-                        continue
-                    if next_source not in mu_proper_subterms(waypoint, cs.mu):
-                        ob4.refute(
-                            f"{term_to_str(next_source)} not an active subterm of "
-                            f"{term_to_str(waypoint)}"
-                        )
                         continue
                     sampled_pairs.append((source, next_source))
                     chain_instances.append({

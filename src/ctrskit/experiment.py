@@ -76,6 +76,8 @@ _EXPORTS = {
 }
 _FUEL_FIELDS = {"max_level": int, "max_steps": int, "max_term_size": int}
 _TOOL_FIELDS = {"name": str, "command": str, "transform": str, "timeout": (int, float)}
+# The longest wait ``subprocess`` can pass to the system: (2**31 - 1) ms.
+MAX_TOOL_TIMEOUT = 2147483.647
 
 
 def _fields(section: str, entry, types: dict, required: tuple = ()) -> dict:
@@ -132,6 +134,11 @@ def _tool(section: str, entry) -> ExternalTool:
         )
     if not tool.timeout > 0:
         raise ValueError(f"config {section}: field 'timeout' must be positive: {tool.timeout!r}")
+    if not tool.timeout <= MAX_TOOL_TIMEOUT:
+        raise ValueError(
+            f"config {section}: field 'timeout' must be at most {MAX_TOOL_TIMEOUT} seconds: "
+            f"{tool.timeout!r}"
+        )
     try:
         tool.argv("export.trs")
     except (ValueError, LookupError, AttributeError) as err:

@@ -15,7 +15,9 @@ or ``:`` are written in prefix application form.  Function arities are
 inferred from first use and checked consistent thereafter; identifiers
 declared in VAR are variables everywhere.  ``U<i>_<rule>`` names denote
 unraveling symbols in every format, so a conditional system may not use
-them.  All printers emit deterministic, re-parseable text.
+them.  Terms may be nested to any depth: the parser keeps the applications
+it has opened on an explicit stack.  All printers emit deterministic,
+re-parseable text.
 """
 
 from __future__ import annotations
@@ -61,13 +63,6 @@ _RESERVED = ("->", "==")
 # A reserved word, a delimiter, or a run of other non-space characters that
 # stops where a reserved word starts.
 _TOKEN = re.compile(r"->|==|[(),|]|(?:(?!->|==)[^\s(),|])+")
-
-# Nodes on the longest root-to-leaf path of a parsed term.  The term
-# primitives and both engines walk terms on explicit stacks and take any
-# depth; only the parser and the path orders still recurse per level, so
-# deeper input gets a positioned diagnostic instead of exhausting the
-# interpreter stack.
-MAX_TERM_DEPTH = 256
 
 
 def tokenize(text: str) -> list[Token]:
@@ -152,32 +147,38 @@ class _Parser:
             self.symbols[key] = sym
         return sym
 
-    def term(self, depth: int = 1) -> Term:
-        head = self.word("a term")
-        nxt = self.peek()
-        if nxt is not None and nxt.text == "(":
-            if head.text in self.variables:
-                raise self.fail(f"variable {head.text!r} cannot take arguments", head)
-            opening = self.take()
-            args: list[Term] = []
-            closing = self.peek()
-            if closing is not None and closing.text == ")":
+    def term(self) -> Term:
+        """One term, read on an explicit stack of open applications; each
+        symbol's arity is registered as its application closes."""
+        open_apps: list[tuple[Token, list[Term]]] = []
+        while True:
+            head = self.word("a term")
+            nxt = self.peek()
+            if nxt is not None and nxt.text == "(":
+                if head.text in self.variables:
+                    raise self.fail(f"variable {head.text!r} cannot take arguments", head)
                 self.take()
+                closing = self.peek()
+                if closing is None or closing.text != ")":
+                    open_apps.append((head, []))
+                    continue
+                self.take()  # ``f()`` is the constant ``f``
+            if head.text in self.variables:
+                done: Term = Var(head.text)
             else:
-                if depth >= MAX_TERM_DEPTH:
-                    raise self.fail(f"term nested deeper than {MAX_TERM_DEPTH} levels", opening)
-                args.append(self.term(depth + 1))
-                while True:
-                    tok = self.take()
-                    if tok.text == ")":
-                        break
-                    if tok.text != ",":
-                        raise self.fail(f"expected ',' or ')', found {tok.text!r}", tok)
-                    args.append(self.term(depth + 1))
-            return App(self.symbol(head.text, len(args), head), tuple(args))
-        if head.text in self.variables:
-            return Var(head.text)
-        return App(self.symbol(head.text, 0, head))
+                done = App(self.symbol(head.text, 0, head))
+            while open_apps:
+                head, args = open_apps[-1]
+                args.append(done)
+                tok = self.take()
+                if tok.text == ",":
+                    break
+                if tok.text != ")":
+                    raise self.fail(f"expected ',' or ')', found {tok.text!r}", tok)
+                open_apps.pop()
+                done = App(self.symbol(head.text, len(args), head), tuple(args))
+            if not open_apps:
+                return done
 
     # -- sections ----------------------------------------------------------
 

@@ -14,6 +14,10 @@ an atom ``f > g`` it needs, and the search branches on that atom only: first
 extends one of the two branches, so a failed search is as exhaustive as
 trying every permutation, while it never branches on symbols no comparison
 reaches.
+
+The comparisons recurse once per term level, so the search refuses, with a
+:class:`SearchRefusedError` naming the cap, a system with more than
+``MAX_SIGNATURE`` symbols or a rule side deeper than ``MAX_SIDE_DEPTH``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .records import Frozen
-from .terms import FunSym, Term, Var, subterms, vars_of
+from .terms import App, FunSym, Term, Var, subterms, term_size, vars_of
 from .unravel import Trs
 
 
@@ -29,8 +33,14 @@ class UnknownSymbolError(Exception):
     """A compared term uses a symbol outside the precedence."""
 
 
-class SignatureTooLargeError(Exception):
-    """The signature exceeds the search cap; use an external prover."""
+class SearchRefusedError(Exception):
+    """The system exceeds a cap of the search; use an external prover."""
+
+
+# Depth 257 admits the unraveling of any rule whose terms are at most 256
+# levels deep and keeps the comparisons within the default recursion limit.
+MAX_SIGNATURE = 10
+MAX_SIDE_DEPTH = 257
 
 
 class Precedence(Frozen):
@@ -65,21 +75,27 @@ def lpo_greater(s: Term, t: Term, prec: Precedence) -> bool:
         verdict = memo.get(key)
         if verdict is not None:
             return verdict
-        if any(ai == b or gt(ai, b) for ai in a.args):
-            # (i) some argument of a is >= b
-            verdict = True
-        elif ranks[a.sym] < ranks[b.sym]:
-            # (ii) greater root, a dominates every argument of b
-            verdict = all(gt(a, bj) for bj in b.args)
+        # Loops, not any() or all(), whose generators add a frame per level.
+        verdict = False
+        for ai in a.args:
+            if ai == b or gt(ai, b):  # (i) some argument of a is >= b
+                verdict = True
+                break
         else:
-            # (iii) equal roots: lexicographically greater arguments,
-            # and a dominates every argument of b
-            verdict = False
+            # (ii) greater root, or (iii) equal roots and lexicographically
+            # greater arguments; either way a dominates every argument of b
+            head = ranks[a.sym] < ranks[b.sym]
             if a.sym == b.sym:
                 for ak, bk in zip(a.args, b.args):
                     if ak != bk:
-                        verdict = gt(ak, bk) and all(gt(a, bj) for bj in b.args)
+                        head = gt(ak, bk)
                         break
+            if head:
+                for bj in b.args:
+                    if not gt(a, bj):
+                        break
+                else:
+                    verdict = True
         memo[key] = verdict
         return verdict
 
@@ -193,9 +209,21 @@ def _orientable(
     )
 
 
-def search_precedence(system: Trs, max_signature: int = 10) -> Optional[Precedence]:
+def _depth(t: Term) -> int:
+    """Nodes on the longest root-to-leaf path of ``t``: one pass per level
+    over the distinct subterms at that level."""
+    depth, level = 0, {t}
+    while level:
+        depth += 1
+        level = {a for u in level if u.__class__ is App for a in u.args}
+    return depth
+
+
+def search_precedence(system: Trs) -> Optional[Precedence]:
     """The lexicographically first precedence orienting every rule
-    left-to-right, or None when no precedence does.
+    left-to-right, or None when no precedence does; a system beyond the
+    caps ``MAX_SIGNATURE`` and ``MAX_SIDE_DEPTH`` raises
+    :class:`SearchRefusedError`.
 
     Precedences are compared as permutations of the signature sorted by name
     then arity.  The answer is built greedily: each position takes the
@@ -204,11 +232,21 @@ def search_precedence(system: Trs, max_signature: int = 10) -> Optional[Preceden
     failing search is a single oracle call.
     """
     symbols = sorted(system.signature, key=lambda s: (s.name, s.arity))
-    if len(symbols) > max_signature:
-        raise SignatureTooLargeError(
-            f"signature has {len(symbols)} symbols (cap {max_signature}); "
+    if len(symbols) > MAX_SIGNATURE:
+        raise SearchRefusedError(
+            f"signature has {len(symbols)} symbols (cap {MAX_SIGNATURE}); "
             "delegate to an external prover"
         )
+    # Before ``varsets``, which is quadratic in depth; a side of at most
+    # MAX_SIDE_DEPTH nodes is no deeper, so only larger ones are walked.
+    for rule in system.rules:
+        for side in (rule.lhs, rule.rhs):
+            depth = _depth(side) if term_size(side) > MAX_SIDE_DEPTH else 0
+            if depth > MAX_SIDE_DEPTH:
+                raise SearchRefusedError(
+                    f"rule {rule.id} is {depth} levels deep (cap {MAX_SIDE_DEPTH}); "
+                    "delegate to an external prover"
+                )
     pairs = [(r.lhs, r.rhs) for r in system.rules]
     varsets = {u: frozenset(vars_of(u)) for lhs, _ in pairs for u in subterms(lhs)}
     memo: Memo = {}  # lives for this search only, so it keeps no term alive after

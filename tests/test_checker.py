@@ -20,6 +20,7 @@ from ctrskit.checker import (
 )
 from ctrskit.ctrs import ConditionalEngine, ConditionalRule, Fuel, dfs, validate_dctrs
 from ctrskit.csrewrite import MuEngine, enumerate_original_terms
+from ctrskit.fmt import parse_ctrs
 from ctrskit.lpo import orients
 from ctrskit.terms import App, FunSym, Var, term_to_str
 from ctrskit.unravel import unravel, unravel_cs
@@ -131,6 +132,30 @@ def test_prove_maybe_on_bubble(bubble):
     assert outcome.verdict == "MAYBE"
     assert isinstance(outcome.certificate, BoundsExhausted)
     assert any("precedence" in d for d in outcome.diagnostics)
+
+
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        (
+            "(VAR x)\n(RULES\n  f(" + "s(" * 299 + "x" + ")" * 300 + " -> x\n)\n",
+            "rule r1 is 301 levels deep (cap 257)",
+        ),
+        (
+            "(VAR x)\n(SIG " + " ".join(f"(c{i} 0)" for i in range(10)) + ")\n(RULES f(x) -> x)\n",
+            "signature has 11 symbols (cap 10)",
+        ),
+    ],
+    ids=["depth", "signature"],
+)
+def test_a_refused_precedence_search_claims_nothing(text, refusal):
+    # The refusal is recorded as the lpo-note; since the search did not
+    # run, no note says that it cannot orient the system.
+    outcome = prove_quasi_decreasing(parse_ctrs(text), seed_size=1)
+    note = f"{refusal}; delegate to an external prover"
+    assert outcome.methods == {"lpo-note": note, "unravel+lpo": "MAYBE", "loop-search": "MAYBE"}
+    assert outcome.diagnostics[0] == note
+    assert not any("precedence" in line for line in outcome.diagnostics)
 
 
 def test_verdicts_monotone_across_fuel(bubble):

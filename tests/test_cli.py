@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,7 @@ from conftest import CORPUS, unreadable_entries
 import ctrskit as ck
 from ctrskit import checker, cli
 from ctrskit.cli import EXIT_INPUT, EXIT_INTERNAL, cli_main
-from ctrskit.fmt import MAX_TERM_DEPTH
+from ctrskit.ctrs import Search
 from ctrskit.terms import App
 
 
@@ -242,6 +245,44 @@ def test_simulate_normal_form(capsys):
     assert "no conditional steps" in capsys.readouterr().out
 
 
+def _saturated_without_a_path(engine, start, goal, fuel):
+    return Search({start: None}, None, False)
+
+
+def test_simulate_alarm_exits_1(monkeypatch, capsys):
+    # A simulation search that saturates without a reduction contradicts
+    # simulation completeness: an alarm on stderr, never a bounded answer.
+    monkeypatch.setattr(checker, "_mu_search", _saturated_without_a_path)
+    assert cli_main(["simulate", corpus("bubble_sort"), "-s", ":(0,:(s(0),nil))"]) == 1
+    out, err = capsys.readouterr()
+    step = ":(0,:(s(0),nil)) -> :(s(0),:(0,nil)) [r4 @ e]"
+    assert out == f"step: {step}\n"
+    assert err == f"  ALARM: no simulating reduction for {step} despite a saturated search\n"
+
+
+def test_simulate_cut_search_exits_2(tmp_path, capsys):
+    # The step needs no condition search, while its simulation needs two
+    # expansions: one is too few to find it, and too few to rule it out.
+    path = tmp_path / "sim.ctrs"
+    path.write_text(
+        "(CONDITIONTYPE ORIENTED)\n(VAR x y)\n(SIG (a 0))\n(RULES\n  f(x) -> g(y) | x == y\n)\n"
+    )
+    assert cli_main(["simulate", str(path), "-s", "f(a)", "--max-steps", "1"]) == 2
+    assert capsys.readouterr().out == (
+        "step: f(a) -> g(a) [r1 @ e]\n  simulation not found within bounds\n"
+    )
+
+
+def test_check_witness_alarm_fails_obligation_3(monkeypatch, capsys):
+    monkeypatch.setattr(checker, "_mu_search", _saturated_without_a_path)
+    assert cli_main(["check-witness", corpus("bubble_sort"), "--seeds-size", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    ob3 = lines.index(next(line for line in lines if line.startswith("(3) ")))
+    assert lines[ob3].startswith("(3) contains every rewrite step: FAIL [")
+    assert lines[ob3 + 1].startswith("    no simulating reduction for ")
+    assert lines[ob3 + 1].endswith(" despite a saturated search")
+
+
 @pytest.mark.parametrize(
     "name,expected_code,expected_verdict",
     [("less", 0, "YES"), ("self_loop", 1, "NO"), ("bubble_sort", 2, "MAYBE")],
@@ -318,8 +359,19 @@ def test_experiment_cli(tmp_path, capsys):
             "field 'command' is not a valid template: ValueError('No closing quotation')",
         ),
         ({"command": "cat {file}", "timeout": -1}, "field 'timeout' must be positive: -1"),
+        (
+            {"command": "cat {file}", "timeout": 1e7},
+            "field 'timeout' must be at most 2147483.647 seconds: 10000000.0",
+        ),
+        (
+            {"command": "cat {file}", "timeout": float("inf")},
+            "field 'timeout' must be at most 2147483.647 seconds: inf",
+        ),
     ],
-    ids=["unknown-placeholder", "unclosed-quote", "negative-timeout"],
+    ids=[
+        "unknown-placeholder", "unclosed-quote", "negative-timeout",
+        "overlong-timeout", "infinite-timeout",
+    ],
 )
 def test_experiment_with_a_bad_tool_entry_runs_no_row(tmp_path, capsys, entry, message):
     config = tmp_path / "config.json"
@@ -432,9 +484,8 @@ def test_prove_alarm_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_crash_on_deep_term_is_an_internal_error(monkeypatch, capsys):
-    # The parser rejects input deeper than MAX_TERM_DEPTH; a deeper term that
-    # reaches the engine anyway rewrites, since the engines walk terms on
-    # explicit stacks.  A failure inside the engine is still an internal
+    # The parser and both engines walk terms on explicit stacks, so a deep
+    # term rewrites.  A failure inside the engine is still an internal
     # error, reported on one line.
     real = cli.parse_term
 
@@ -464,8 +515,8 @@ DEEP_TRS = "(VAR x y ys)\n(SIG (0 0) (s 1) (nil 0))\n(RULES\n  :(x,:(y,ys)) -> :
 
 @pytest.mark.parametrize("mode", ["ctrs", "mu", "trs"])
 def test_deep_term_rewrites(tmp_path, monkeypatch, capsys, mode):
-    # A redex 5,000 levels down, past the parser's cap: stepping lifts each
-    # reduct through every level, and the trace is the shallow one's, wrapped.
+    # A redex 5,000 levels down: stepping lifts each reduct through every
+    # level, and the trace is the shallow one's, wrapped.
     path = corpus("bubble_sort")
     if mode == "trs":
         path = tmp_path / "swap.trs"
@@ -492,32 +543,58 @@ def test_deep_term_rewrites(tmp_path, monkeypatch, capsys, mode):
     assert capsys.readouterr().out.splitlines() == expected
 
 
-def _nested(depth: int) -> str:
-    """``<(s(...s(0)...),0)`` with ``depth`` nodes on its longest path."""
-    return "<(" + "s(" * (depth - 2) + "0" + ")" * (depth - 2) + ",0)"
+# Every command on a rule and a term 20,000 levels deep, in a child whose
+# recursion limit is far below that depth: no code on these paths may
+# recurse once per level.  Only the path-order search has a depth cap, so
+# prove names the unraveled rule it refused and answers from the loop search.
+DEEP_INPUTS_SCRIPT = """
+import contextlib, io, json, sys
+from ctrskit.cli import cli_main
+
+levels, path = int(sys.argv[1]), sys.argv[2]
+term = "f(" + "s(" * (levels - 2) + "0" + ")" * (levels - 1)
+with open(path, "w") as f:
+    f.write(
+        "(CONDITIONTYPE ORIENTED)\\n(VAR x y)\\n(SIG (0 0))\\n(RULES\\n"
+        f"  {term.replace('0', 'x', 1)} -> g(y) | h(x) == y\\n  h(x) -> x\\n)\\n"
+    )
+commands = [
+    ["validate", path],
+    ["unravel", path, "--cs"],
+    ["check-witness", path, "--seeds-size", "3"],
+    ["prove", path, "--seeds-size", "3"],
+    ["rewrite", path, "-t", term],
+    ["simulate", path, "-s", term],
+]
+sys.setrecursionlimit(120)
+for argv in commands:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    print(json.dumps([argv[0], code, out.getvalue()[-300:], err.getvalue()]))
+"""
 
 
-def test_deep_term_is_an_input_error(capsys):
-    assert cli_main(["rewrite", corpus("bubble_sort"), "-t", _nested(3000)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    # The `(` after the s at depth 256 would open depth 257: column 2 + 2 * 255.
-    assert err == f"error: 1:512: term nested deeper than {MAX_TERM_DEPTH} levels\n"
-
-
-def test_deep_rule_is_an_input_error(tmp_path, capsys):
-    path = tmp_path / "deep.ctrs"
-    path.write_text(f"(VAR x)\n(RULES\n  g(x) -> x\n  f({_nested(3000)}) -> 0\n)\n")
-    assert cli_main(["prove", str(path)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err == f"error: 4:514: term nested deeper than {MAX_TERM_DEPTH} levels\n"
-
-
-def test_term_at_the_depth_limit_rewrites(capsys):
-    term = _nested(MAX_TERM_DEPTH)
-    assert cli_main(["rewrite", corpus("bubble_sort"), "-t", term, "--mu"]) == 0
-    assert capsys.readouterr().out.rstrip().endswith("false")
-    assert cli_main(["rewrite", corpus("bubble_sort"), "-t", term]) == 0
-    assert capsys.readouterr().out.rstrip().endswith("false")
+def test_every_command_takes_terms_of_any_depth(tmp_path):
+    child = subprocess.run(
+        [sys.executable, "-c", DEEP_INPUTS_SCRIPT, "20000", str(tmp_path / "deep.ctrs")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(ck.__file__).parent.parent)},
+    )
+    assert child.stderr == ""
+    runs = [json.loads(line) for line in child.stdout.splitlines()]
+    codes = {command: code for command, code, _, _ in runs}
+    assert codes.pop("check-witness") in (0, 2)
+    assert codes == {"validate": 0, "unravel": 0, "prove": 2, "rewrite": 0, "simulate": 0}
+    assert all(err == "" for _, _, _, err in runs)
+    tails = {command: out for command, _, out, _ in runs}
+    assert tails["rewrite"].endswith(")) ->\n  g(0)\n")
+    assert tails["simulate"].endswith(")) -> U1_r1(h(0),0) -> g(h(0))\n")
+    refusal = "rule r1.1 is 20000 levels deep (cap 257); delegate to an external prover"
+    assert f"note: {refusal}\n" in tails["prove"]
+    assert "exhaustive" not in tails["prove"]
 
 
 @pytest.mark.parametrize("mu", [[], ["--mu"]], ids=["plain", "mu"])

@@ -14,6 +14,7 @@ from ctrskit.experiment import (
     CONFIG_ENV_VAR,
     ExperimentConfig,
     ExternalTool,
+    MAX_TOOL_TIMEOUT,
     NON_REPRODUCTION_NOTE,
     load_config,
     run_experiment,
@@ -169,6 +170,19 @@ BAD_TOOL_ENTRIES = {
         "field 'timeout' must be positive: -1",
     ),
     "zero-timeout": ({"command": "cat {file}", "timeout": 0}, "field 'timeout' must be positive: 0"),
+    # subprocess cannot wait longer than (2**31 - 1) ms.
+    "overlong-timeout": (
+        {"command": "cat {file}", "timeout": 2.2e6},
+        "field 'timeout' must be at most 2147483.647 seconds: 2200000.0",
+    ),
+    "infinite-timeout": (
+        {"command": "cat {file}", "timeout": float("inf")},
+        "field 'timeout' must be at most 2147483.647 seconds: inf",
+    ),
+    "nan-timeout": (
+        {"command": "cat {file}", "timeout": float("nan")},
+        "field 'timeout' must be positive: nan",
+    ),
 }
 
 
@@ -180,6 +194,13 @@ def test_external_tool_entries_are_checked_when_the_config_loads(tmp_path, case)
     with pytest.raises(ValueError) as err:
         load_config(str(cfg_path))
     assert str(err.value) == f"config external_tools[0]: {message}"
+
+
+def test_external_tool_timeout_at_the_subprocess_limit_loads(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    entry = {"name": "x", "command": "cat {file}", "timeout": MAX_TOOL_TIMEOUT}
+    cfg_path.write_text(json.dumps({"external_tools": [entry]}))
+    assert load_config(str(cfg_path)).external_tools[0].timeout == 2147483.647
 
 
 def test_a_non_ascii_digit_in_a_file_is_a_parse_error_row(tmp_path):

@@ -15,7 +15,7 @@ import ctrskit as ck
 from ctrskit import lpo
 from ctrskit.lpo import (
     Precedence,
-    SignatureTooLargeError,
+    SearchRefusedError,
     UnknownSymbolError,
     lpo_greater,
     orients,
@@ -113,11 +113,10 @@ def test_search_unorientable_self_loop():
 
 
 def test_signature_cap():
-    syms = tuple(FunSym(f"f{i}", 0) for i in range(11))
-    trs = Trs(syms, ())
-    with pytest.raises(SignatureTooLargeError):
-        search_precedence(trs)
-    assert search_precedence(trs, max_signature=11) is not None
+    syms = tuple(FunSym(f"f{i}", 0) for i in range(lpo.MAX_SIGNATURE + 1))
+    with pytest.raises(SearchRefusedError, match=r"^signature has 11 symbols \(cap 10\);"):
+        search_precedence(Trs(syms, ()))
+    assert search_precedence(Trs(syms[1:], ())) is not None
 
 
 @settings(max_examples=150)
@@ -369,6 +368,44 @@ def test_deep_rules_are_decided_within_two_seconds(tmp_path, head, verdict, code
         env={**os.environ, "PYTHONPATH": str(Path(ck.__file__).parent.parent)},
     )
     assert (child.returncode, child.stdout.splitlines()[0]) == (code, f"verdict: {verdict}")
+
+
+def _chain(symbol: str, count: int, leaf: str = "x") -> str:
+    return f"{symbol}(" * count + leaf + ")" * count
+
+
+@pytest.mark.parametrize(
+    "levels, code, verdict, refusal",
+    [
+        (256, 0, "YES", None),
+        (257, 2, "MAYBE", "rule r1.1 is 258 levels deep (cap 257); delegate to an external prover"),
+    ],
+    ids=["at-the-cap", "one-level-deeper"],
+)
+def test_search_refuses_rule_sides_deeper_than_the_cap(tmp_path, levels, code, verdict, refusal):
+    # The condition source f(...f(x)...) has ``levels`` levels and its
+    # unraveling symbol puts one more above it, so at 256 the unraveled side
+    # is exactly at the cap.  Orienting it compares the 256-level left-hand
+    # side with that side all the way down, in the search and in the
+    # certificate's re-check, under the default recursion limit.
+    assert lpo.MAX_SIDE_DEPTH == 257
+    path = tmp_path / "deep.ctrs"
+    path.write_text(
+        "(CONDITIONTYPE ORIENTED)\n(VAR x y)\n(SIG (0 0))\n(RULES\n"
+        f"  h({_chain('s', 254)}) -> x | {_chain('f', levels - 1)} == y\n)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-m", "ctrskit", "prove", str(path), "--seeds-size", "2"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(ck.__file__).parent.parent)},
+    )
+    lines = child.stdout.splitlines()
+    assert (child.returncode, lines[0], child.stderr) == (code, f"verdict: {verdict}", "")
+    # A refused search did not run, so it claims nothing about orientability.
+    notes = [line[len("note: "):] for line in lines if line.startswith("note: ")]
+    assert [n for n in notes if "cap" in n or "exhaustive" in n] == ([refusal] if refusal else [])
 
 
 def test_path_order_memo_decides_each_pair_once(monkeypatch):
