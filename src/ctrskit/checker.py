@@ -171,7 +171,7 @@ class ProofOutcome(Record):
     """A verdict ("YES", "NO" or "MAYBE") with its certificate.  ``methods``
     holds the per-method answers: "unravel+lpo" (YES or MAYBE), "loop-search"
     (NO or MAYBE), and "lpo-note" when the precedence search refused the
-    signature or the depth of a rule."""
+    system for the size of its signature or the verdicts it needs."""
 
     __slots__ = ("verdict", "certificate", "provenance", "diagnostics", "methods")
     _defaults = {"diagnostics": list, "methods": dict}

@@ -322,10 +322,7 @@ def cli_main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_YES
     try:
         return args.func(args)
-    except (
-        ParseError, ValidationError, ValueError,
-        FileNotFoundError, IsADirectoryError, NotADirectoryError,
-    ) as err:
+    except (ParseError, ValidationError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:

@@ -15,17 +15,18 @@ extends one of the two branches, so a failed search is as exhaustive as
 trying every permutation, while it never branches on symbols no comparison
 reaches.
 
-The comparisons recurse once per term level, so the search refuses, with a
-:class:`SearchRefusedError` naming the cap, a system with more than
-``MAX_SIGNATURE`` symbols or a rule side deeper than ``MAX_SIDE_DEPTH``.
+No function here recurses: comparisons wait on an explicit stack, and with
+their verdicts memoized ``s`` and ``t`` need O(|s|·|t|) of them (Löchner,
+"Things to know when implementing LPO", 2006).  The search refuses, naming
+the cap, more than ``MAX_SIGNATURE`` symbols or ``MAX_VERDICTS`` verdicts.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Generator, Iterable, Optional, Union
 
 from .records import Frozen
-from .terms import App, FunSym, Term, Var, subterms, term_size, vars_of
+from .terms import App, FunSym, Term, Var, fun_syms, subterms
 from .unravel import Trs
 
 
@@ -37,10 +38,10 @@ class SearchRefusedError(Exception):
     """The system exceeds a cap of the search; use an external prover."""
 
 
-# Depth 257 admits the unraveling of any rule whose terms are at most 256
-# levels deep and keeps the comparisons within the default recursion limit.
+# The verdict budget bounds the time and memory of the comparisons; the
+# signature cap bounds the number of precedences built, which it does not.
 MAX_SIGNATURE = 10
-MAX_SIDE_DEPTH = 257
+MAX_VERDICTS = 1_000_000
 
 
 class Precedence(Frozen):
@@ -56,52 +57,6 @@ class Precedence(Frozen):
         return " > ".join(s.name for s in self.order)
 
 
-def lpo_greater(s: Term, t: Term, prec: Precedence) -> bool:
-    """The strict lexicographic path order induced by ``prec``.  Verdicts on
-    pairs of applications are memoized for the call, as in :func:`_lpo3`."""
-    ranks = {sym: i for i, sym in enumerate(prec.order)}
-    memo: dict[tuple[Term, Term], bool] = {}
-
-    def gt(a: Term, b: Term) -> bool:
-        if isinstance(a, Var):
-            return False
-        if a.sym not in ranks:
-            raise UnknownSymbolError(f"{a.sym.name}/{a.sym.arity} not in precedence")
-        if isinstance(b, Var):
-            return b.name in vars_of(a)
-        if b.sym not in ranks:
-            raise UnknownSymbolError(f"{b.sym.name}/{b.sym.arity} not in precedence")
-        key = (a, b)
-        verdict = memo.get(key)
-        if verdict is not None:
-            return verdict
-        # Loops, not any() or all(), whose generators add a frame per level.
-        verdict = False
-        for ai in a.args:
-            if ai == b or gt(ai, b):  # (i) some argument of a is >= b
-                verdict = True
-                break
-        else:
-            # (ii) greater root, or (iii) equal roots and lexicographically
-            # greater arguments; either way a dominates every argument of b
-            head = ranks[a.sym] < ranks[b.sym]
-            if a.sym == b.sym:
-                for ak, bk in zip(a.args, b.args):
-                    if ak != bk:
-                        head = gt(ak, bk)
-                        break
-            if head:
-                for bj in b.args:
-                    if not gt(a, bj):
-                        break
-                else:
-                    verdict = True
-        memo[key] = verdict
-        return verdict
-
-    return gt(s, t)
-
-
 # Three-valued evaluation under a partial precedence.  ``above`` is a
 # transitively closed set of pairs (f, g), read f > g.  A verdict is True or
 # False when every total extension of ``above`` agrees, and otherwise the
@@ -111,29 +66,95 @@ Atom = tuple[FunSym, FunSym]
 Verdict = Union[bool, Atom]
 VarSets = dict[Term, frozenset[str]]
 Memo = dict[tuple[Term, Term, frozenset[Atom]], Verdict]
+# An evaluation of s > t yields the pairs ``(u, v, *context)`` it needs.
+Evaluation = Generator[tuple, Verdict, Verdict]
 
 
-def _lpo3(s: Term, t: Term, above: frozenset[Atom], varsets: VarSets, memo: Memo) -> Verdict:
-    """``s >lpo t`` under the partial precedence ``above``; ``varsets`` maps
-    every subterm of a left-hand side to its variable names.
+def _decide(
+    pair: tuple, evaluate: Callable, varsets: VarSets, memo: dict, limit: Optional[int] = None
+) -> Verdict:
+    """Whether ``s > t`` for ``pair = (s, t, *context)``.  Two applications
+    are compared by ``evaluate(*pair)``, which waits on the stack while the
+    pairs it yields are decided; its verdict is kept in ``memo``, and a memo
+    beyond ``limit`` refuses the search.  A variable is greater than nothing,
+    an application than each variable in ``varsets[s]``.
+    """
+    stack: list[tuple[tuple, Evaluation]] = []
+    while True:
+        s, t = pair[0], pair[1]
+        if s.__class__ is Var:
+            verdict = False
+        elif t.__class__ is Var:
+            verdict = t.name in varsets[s]
+        else:
+            verdict = memo.get(pair)
+            if verdict is None:
+                stack.append((pair, evaluate(*pair)))
+        # Resume the open evaluations until one asks for another pair.
+        while stack:
+            top, evaluation = stack[-1]
+            try:
+                pair = evaluation.send(verdict)
+                break
+            except StopIteration as done:
+                stack.pop()
+                verdict = memo[top] = done.value
+                if limit is not None and len(memo) > limit:
+                    reason = f"search needs more than {limit} verdicts (cap {limit})"
+                    raise SearchRefusedError(f"{reason}; delegate to an external prover") from None
+        else:
+            return verdict
 
-    The evaluation meets the same pair of subterms exponentially often in
-    the depth of the terms; ``memo`` keeps each verdict by ``(s, t,
-    above)``, so that each is decided once."""
-    if isinstance(s, Var):
+
+def _varsets(terms: Iterable[Term]) -> VarSets:
+    """Every subterm of ``terms`` mapped to its variable names, in one pass
+    over reversed preorder, where the arguments of a term come before it."""
+    varsets: VarSets = {}
+    for u in reversed([u for t in terms for u in subterms(t)]):
+        if u.__class__ is Var:
+            varsets[u] = frozenset((u.name,))
+        elif u not in varsets:
+            below = [varsets[a] for a in u.args]
+            varsets[u] = below[0] if len(below) == 1 else frozenset().union(*below)
+    return varsets
+
+
+def lpo_greater(s: Term, t: Term, prec: Precedence) -> bool:
+    """The strict lexicographic path order induced by ``prec``."""
+    ranks = {sym: i for i, sym in enumerate(prec.order)}
+    unknown = sorted(f"{f.name}/{f.arity}" for f in fun_syms(s) | fun_syms(t) if f not in ranks)
+    if unknown:
+        raise UnknownSymbolError(f"{', '.join(unknown)} not in precedence")
+
+    def gt(a: App, b: App) -> Evaluation:
+        for ai in a.args:
+            if ai == b or (yield ai, b):  # (i) some argument of a is >= b
+                return True
+        # (ii) greater root, or (iii) equal roots and lexicographically
+        # greater arguments; either way a dominates every argument of b
+        head = ranks[a.sym] < ranks[b.sym]
+        if a.sym == b.sym:
+            for ak, bk in zip(a.args, b.args):
+                if ak != bk:
+                    head = yield ak, bk
+                    break
+        if head:
+            for bj in b.args:
+                if not (yield a, bj):
+                    return False
+            return True
         return False
-    if isinstance(t, Var):
-        return t.name in varsets[s]
-    key = (s, t, above)
-    known = memo.get(key)
-    if known is not None:
-        return known
 
+    return _decide((s, t), gt, _varsets([s]), {})
+
+
+def _lpo3(s: App, t: App, above: frozenset[Atom]) -> Evaluation:
+    """``s >lpo t`` under the partial precedence ``above``, as an evaluation
+    for :func:`_decide`."""
     need: Optional[Atom] = None
     for si in s.args:
-        verdict = si == t or _lpo3(si, t, above, varsets, memo)
+        verdict = si == t or (yield si, t, above)
         if verdict is True:
-            memo[key] = True
             return True
         if verdict is not False and need is None:
             need = verdict
@@ -142,7 +163,7 @@ def _lpo3(s: Term, t: Term, above: frozenset[Atom], varsets: VarSets, memo: Memo
         head: Verdict = False
         for sk, tk in zip(s.args, t.args):
             if sk != tk:
-                head = _lpo3(sk, tk, above, varsets, memo)
+                head = yield sk, tk, above
                 break
     elif (s.sym, t.sym) in above:
         head = True
@@ -155,7 +176,7 @@ def _lpo3(s: Term, t: Term, above: frozenset[Atom], varsets: VarSets, memo: Memo
         # s must also dominate every argument of t.
         dominates: Verdict = True
         for tj in t.args:
-            verdict = _lpo3(s, tj, above, varsets, memo)
+            verdict = yield s, tj, above
             if verdict is False:
                 dominates = False
                 break
@@ -164,12 +185,10 @@ def _lpo3(s: Term, t: Term, above: frozenset[Atom], varsets: VarSets, memo: Memo
         if dominates is not False:
             both = dominates if head is True else head
             if both is True:
-                memo[key] = True
                 return True
             if need is None:
                 need = both
-    memo[key] = verdict = False if need is None else need
-    return verdict
+    return False if need is None else need
 
 
 def _with(above: frozenset[Atom], f: FunSym, g: FunSym) -> frozenset[Atom]:
@@ -184,45 +203,37 @@ def _with(above: frozenset[Atom], f: FunSym, g: FunSym) -> frozenset[Atom]:
 
 
 def _orientable(
-    pending: list[tuple[Term, Term]], above: frozenset[Atom], varsets: VarSets, memo: Memo
+    pairs: list[tuple[Term, Term]], above: frozenset[Atom], varsets: VarSets, memo: Memo
 ) -> bool:
-    """Whether some total extension of ``above`` orients every pending pair.
+    """Whether some total extension of ``above`` orients every pair.
 
-    Pairs decided True stay True in every extension, so only the undecided
-    ones are passed down.  Branching on the first needed atom of the first
-    undecided pair, in both directions, covers every total extension.
+    A branch is a partial order and the pairs undecided under it, as pairs
+    decided True stay True in every extension.  Branching on the first needed
+    atom, ``f > g`` first and then ``g > f``, covers every total extension.
     """
-    undecided = []
-    need: Optional[Atom] = None
-    for lhs, rhs in pending:
-        verdict = _lpo3(lhs, rhs, above, varsets, memo)
-        if verdict is False:
-            return False
-        if verdict is not True:
-            undecided.append((lhs, rhs))
-            need = need or verdict
-    if need is None:
-        return True
-    f, g = need
-    return any(
-        _orientable(undecided, _with(above, a, b), varsets, memo) for a, b in ((f, g), (g, f))
-    )
-
-
-def _depth(t: Term) -> int:
-    """Nodes on the longest root-to-leaf path of ``t``: one pass per level
-    over the distinct subterms at that level."""
-    depth, level = 0, {t}
-    while level:
-        depth += 1
-        level = {a for u in level if u.__class__ is App for a in u.args}
-    return depth
+    branches = [(pairs, above)]
+    while branches:
+        pending, above = branches.pop()
+        undecided, need = [], None
+        for lhs, rhs in pending:
+            verdict = _decide((lhs, rhs, above), _lpo3, varsets, memo, MAX_VERDICTS)
+            if verdict is False:
+                break
+            if verdict is not True:
+                undecided.append((lhs, rhs))
+                need = need or verdict
+        else:
+            if need is None:
+                return True
+            f, g = need
+            branches += [(undecided, _with(above, g, f)), (undecided, _with(above, f, g))]
+    return False
 
 
 def search_precedence(system: Trs) -> Optional[Precedence]:
     """The lexicographically first precedence orienting every rule
     left-to-right, or None when no precedence does; a system beyond the
-    caps ``MAX_SIGNATURE`` and ``MAX_SIDE_DEPTH`` raises
+    caps ``MAX_SIGNATURE`` and ``MAX_VERDICTS`` raises
     :class:`SearchRefusedError`.
 
     Precedences are compared as permutations of the signature sorted by name
@@ -233,22 +244,10 @@ def search_precedence(system: Trs) -> Optional[Precedence]:
     """
     symbols = sorted(system.signature, key=lambda s: (s.name, s.arity))
     if len(symbols) > MAX_SIGNATURE:
-        raise SearchRefusedError(
-            f"signature has {len(symbols)} symbols (cap {MAX_SIGNATURE}); "
-            "delegate to an external prover"
-        )
-    # Before ``varsets``, which is quadratic in depth; a side of at most
-    # MAX_SIDE_DEPTH nodes is no deeper, so only larger ones are walked.
-    for rule in system.rules:
-        for side in (rule.lhs, rule.rhs):
-            depth = _depth(side) if term_size(side) > MAX_SIDE_DEPTH else 0
-            if depth > MAX_SIDE_DEPTH:
-                raise SearchRefusedError(
-                    f"rule {rule.id} is {depth} levels deep (cap {MAX_SIDE_DEPTH}); "
-                    "delegate to an external prover"
-                )
+        reason = f"signature has {len(symbols)} symbols (cap {MAX_SIGNATURE})"
+        raise SearchRefusedError(f"{reason}; delegate to an external prover")
     pairs = [(r.lhs, r.rhs) for r in system.rules]
-    varsets = {u: frozenset(vars_of(u)) for lhs, _ in pairs for u in subterms(lhs)}
+    varsets = _varsets(lhs for lhs, _ in pairs)
     memo: Memo = {}  # lives for this search only, so it keeps no term alive after
     above: frozenset[Atom] = frozenset()
     if not _orientable(pairs, above, varsets, memo):

@@ -81,6 +81,7 @@ def outcome_dict(outcome: ProofOutcome) -> dict:
         "certificate": certificate_dict(outcome.certificate),
         "provenance": outcome.provenance,
         "diagnostics": list(outcome.diagnostics),
+        "methods": dict(outcome.methods),
     }
 
 

@@ -5,7 +5,7 @@ import pytest
 from conftest import load_system, term_of
 
 import ctrskit as ck
-from ctrskit import checker
+from ctrskit import checker, lpo
 from ctrskit.checker import (
     BoundsExhausted,
     CommutationError,
@@ -135,22 +135,26 @@ def test_prove_maybe_on_bubble(bubble):
 
 
 @pytest.mark.parametrize(
-    "text, refusal",
+    "text, budget, refusal",
     [
         (
-            "(VAR x)\n(RULES\n  f(" + "s(" * 299 + "x" + ")" * 300 + " -> x\n)\n",
-            "rule r1 is 301 levels deep (cap 257)",
+            "(CONDITIONTYPE ORIENTED)\n(VAR x y)\n(RULES\n  h("
+            + "s(" * 99 + "x" + ")" * 100 + " -> x | " + "f(" * 99 + "x" + ")" * 99 + " == y\n)\n",
+            100,
+            "search needs more than 100 verdicts (cap 100)",
         ),
         (
             "(VAR x)\n(SIG " + " ".join(f"(c{i} 0)" for i in range(10)) + ")\n(RULES f(x) -> x)\n",
+            lpo.MAX_VERDICTS,
             "signature has 11 symbols (cap 10)",
         ),
     ],
-    ids=["depth", "signature"],
+    ids=["verdicts", "signature"],
 )
-def test_a_refused_precedence_search_claims_nothing(text, refusal):
+def test_a_refused_precedence_search_claims_nothing(monkeypatch, text, budget, refusal):
     # The refusal is recorded as the lpo-note; since the search did not
-    # run, no note says that it cannot orient the system.
+    # finish, no note says that it cannot orient the system.
+    monkeypatch.setattr(lpo, "MAX_VERDICTS", budget)
     outcome = prove_quasi_decreasing(parse_ctrs(text), seed_size=1)
     note = f"{refusal}; delegate to an external prover"
     assert outcome.methods == {"lpo-note": note, "unravel+lpo": "MAYBE", "loop-search": "MAYBE"}

@@ -135,6 +135,29 @@ def test_missing_file():
     assert cli_main(["validate", "/nonexistent/zzz.ctrs"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{loop}"],
+        ["prove", "{loop}"],
+        ["unravel", "{loop}"],
+        ["check-witness", "{loop}"],
+        ["rewrite", "{loop}", "-t", "0"],
+        ["prove", "{dir}/" + "a" * 300 + ".ctrs"],
+        ["prove", corpus("less"), "--json", "{loop}/out.json"],
+    ],
+    ids=["validate", "prove", "unravel", "check-witness", "rewrite", "long-name", "json-into-loop"],
+)
+def test_an_unreadable_path_is_an_input_error(tmp_path, capsys, argv):
+    # A symlink to itself cannot be resolved, and a 300-character name is
+    # longer than file systems allow: each is the user's input, not a bug.
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    argv = [arg.format(loop=tmp_path / "loop", dir=tmp_path) for arg in argv]
+    assert cli_main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_usage_error():
     assert cli_main(["frobnicate"]) == 3
     assert cli_main(["prove", corpus("less"), "--precedence-cap", "5"]) == 3
@@ -296,6 +319,23 @@ def test_prove_exit_codes_agree_with_json(tmp_path, capsys, name, expected_code,
     assert doc["format_version"] == 1
     printed = capsys.readouterr().out
     assert f"verdict: {expected_verdict}" in printed
+
+
+def test_prove_json_carries_the_answer_of_each_method(tmp_path):
+    # As experiment rows do, including the note of a refused search.
+    path = tmp_path / "wide.ctrs"
+    path.write_text("(VAR x)\n(SIG " + " ".join(f"(c{i} 0)" for i in range(10)) + ")\n(RULES f(x) -> x)\n")
+    out = tmp_path / "outcome.json"
+    for file, methods in [
+        (corpus("self_loop"), {"unravel+lpo": "MAYBE", "loop-search": "NO"}),
+        (str(path), {
+            "lpo-note": "signature has 11 symbols (cap 10); delegate to an external prover",
+            "unravel+lpo": "MAYBE",
+            "loop-search": "MAYBE",
+        }),
+    ]:
+        cli_main(["prove", file, "--seeds-size", "1", "--json", str(out)])
+        assert json.loads(out.read_text())["methods"] == methods
 
 
 def test_check_witness_pass(tmp_path, capsys):
@@ -545,8 +585,7 @@ def test_deep_term_rewrites(tmp_path, monkeypatch, capsys, mode):
 
 # Every command on a rule and a term 20,000 levels deep, in a child whose
 # recursion limit is far below that depth: no code on these paths may
-# recurse once per level.  Only the path-order search has a depth cap, so
-# prove names the unraveled rule it refused and answers from the loop search.
+# recurse once per level, the path orders behind prove's YES included.
 DEEP_INPUTS_SCRIPT = """
 import contextlib, io, json, sys
 from ctrskit.cli import cli_main
@@ -587,14 +626,13 @@ def test_every_command_takes_terms_of_any_depth(tmp_path):
     runs = [json.loads(line) for line in child.stdout.splitlines()]
     codes = {command: code for command, code, _, _ in runs}
     assert codes.pop("check-witness") in (0, 2)
-    assert codes == {"validate": 0, "unravel": 0, "prove": 2, "rewrite": 0, "simulate": 0}
+    assert codes == {"validate": 0, "unravel": 0, "prove": 0, "rewrite": 0, "simulate": 0}
     assert all(err == "" for _, _, _, err in runs)
     tails = {command: out for command, _, out, _ in runs}
     assert tails["rewrite"].endswith(")) ->\n  g(0)\n")
     assert tails["simulate"].endswith(")) -> U1_r1(h(0),0) -> g(h(0))\n")
-    refusal = "rule r1.1 is 20000 levels deep (cap 257); delegate to an external prover"
-    assert f"note: {refusal}\n" in tails["prove"]
-    assert "exhaustive" not in tails["prove"]
+    assert "note: loop search over seeds" in tails["prove"]
+    assert "cap" not in tails["prove"] and "exhaustive" not in tails["prove"]
 
 
 @pytest.mark.parametrize("mu", [[], ["--mu"]], ids=["plain", "mu"])

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -313,19 +314,23 @@ def test_search_matches_permutation_oracle_on_corpus():
         assert search_precedence(trs) == permutation_search(trs), path.stem
 
 
-def test_failing_bubble_search_stays_small(bubble, monkeypatch):
-    # The permutation search made about 913k three-valued comparisons here.
-    calls = 0
+def _count_evaluations(monkeypatch) -> list:
+    calls = [0]
     real = lpo._lpo3
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return real(*args)
 
     monkeypatch.setattr(lpo, "_lpo3", counting)
+    return calls
+
+
+def test_failing_bubble_search_stays_small(bubble, monkeypatch):
+    # The permutation search made about 913k three-valued comparisons here.
+    calls = _count_evaluations(monkeypatch)
     assert search_precedence(unravel(bubble)) is None
-    assert 0 < calls < 20_000
+    assert 0 < calls[0] < 20_000
 
 
 @settings(max_examples=100, deadline=None)
@@ -344,8 +349,9 @@ def test_a_shared_memo_gives_the_verdicts_of_fresh_ones(pairs, rng):
     shared: dict = {}
     for order in (frozenset(), above, frozenset(), above):
         for lhs, rhs in pairs:
-            fresh = lpo._lpo3(lhs, rhs, order, varsets, {})
-            assert lpo._lpo3(lhs, rhs, order, varsets, shared) == fresh
+            pair = (lhs, rhs, order)
+            fresh = lpo._decide(pair, lpo._lpo3, varsets, {})
+            assert lpo._decide(pair, lpo._lpo3, varsets, shared) == fresh
 
 
 def _tower(depth: int) -> str:
@@ -374,50 +380,92 @@ def _chain(symbol: str, count: int, leaf: str = "x") -> str:
     return f"{symbol}(" * count + leaf + ")" * count
 
 
-@pytest.mark.parametrize(
-    "levels, code, verdict, refusal",
-    [
-        (256, 0, "YES", None),
-        (257, 2, "MAYBE", "rule r1.1 is 258 levels deep (cap 257); delegate to an external prover"),
-    ],
-    ids=["at-the-cap", "one-level-deeper"],
-)
-def test_search_refuses_rule_sides_deeper_than_the_cap(tmp_path, levels, code, verdict, refusal):
-    # The condition source f(...f(x)...) has ``levels`` levels and its
-    # unraveling symbol puts one more above it, so at 256 the unraveled side
-    # is exactly at the cap.  Orienting it compares the 256-level left-hand
-    # side with that side all the way down, in the search and in the
-    # certificate's re-check, under the default recursion limit.
-    assert lpo.MAX_SIDE_DEPTH == 257
-    path = tmp_path / "deep.ctrs"
-    path.write_text(
+@pytest.mark.parametrize("spare", [0, -1], ids=["within-the-budget", "one-verdict-over"])
+def test_search_refuses_a_system_beyond_the_verdict_budget(monkeypatch, spare):
+    # The condition source f(...f(x)...) sits under an unraveling symbol, so
+    # orienting the rule compares the 30-level sides all the way down.  Each
+    # evaluation memoizes one verdict, so their count is what the search needs.
+    text = (
         "(CONDITIONTYPE ORIENTED)\n(VAR x y)\n(SIG (0 0))\n(RULES\n"
-        f"  h({_chain('s', 254)}) -> x | {_chain('f', levels - 1)} == y\n)\n"
+        f"  h({_chain('s', 28)}) -> x | {_chain('f', 29)} == y\n)\n"
     )
+    system = ck.parse_ctrs(text)
+    calls = _count_evaluations(monkeypatch)
+    assert ck.prove_quasi_decreasing(system, seed_size=2).verdict == "YES"
+    needed, calls[0] = calls[0], 0
+    budget = needed + spare
+    monkeypatch.setattr(lpo, "MAX_VERDICTS", budget)
+    outcome = ck.prove_quasi_decreasing(system, seed_size=2)
+    if spare == 0:
+        assert (outcome.verdict, calls[0]) == ("YES", needed)
+        assert "lpo-note" not in outcome.methods
+        return
+    refusal = f"search needs more than {budget} verdicts (cap {budget}); delegate to an external prover"
+    assert (outcome.verdict, outcome.methods["lpo-note"]) == ("MAYBE", refusal)
+    # A refused search did not finish, so it claims nothing about orientability.
+    assert not any("exhaustive" in line for line in outcome.diagnostics)
+
+
+def test_the_budget_admits_rule_sides_257_levels_deep(monkeypatch):
+    # The unraveled condition source is 257 levels deep and is compared with
+    # the 256-level left-hand side all the way down: 458,745 verdicts.
+    text = (
+        "(CONDITIONTYPE ORIENTED)\n(VAR x y)\n(SIG (0 0))\n(RULES\n"
+        f"  h({_chain('s', 254)}) -> x | {_chain('f', 255)} == y\n)\n"
+    )
+    calls = _count_evaluations(monkeypatch)
+    trs = unravel(ck.parse_ctrs(text))
+    prec = search_precedence(trs)
+    assert prec is not None and orients(trs, prec)
+    assert calls[0] < lpo.MAX_VERDICTS // 2
+
+
+# The shape of rule that CI runs at 100,000 levels, in a child whose recursion
+# limit is far below the rule's depth.
+DEEP_PROVE_SCRIPT = """
+import sys
+from ctrskit.cli import cli_main
+
+levels, path = int(sys.argv[1]), sys.argv[2]
+lhs = "f(" + "s(" * (levels - 2) + "x" + ")" * (levels - 1)
+with open(path, "w") as f:
+    f.write(
+        "(CONDITIONTYPE ORIENTED)\\n(VAR x y)\\n(SIG (0 0))\\n(RULES\\n"
+        f"  {lhs} -> g(y) | h(x) == y\\n  h(x) -> x\\n)\\n"
+    )
+sys.setrecursionlimit(120)
+sys.exit(cli_main(["prove", path, "--seeds-size", "3"]))
+"""
+
+
+def test_prove_orients_a_rule_5000_levels_deep_without_recursion(tmp_path):
     child = subprocess.run(
-        [sys.executable, "-m", "ctrskit", "prove", str(path), "--seeds-size", "2"],
+        [sys.executable, "-c", DEEP_PROVE_SCRIPT, "5000", str(tmp_path / "deep.ctrs")],
         capture_output=True,
         text=True,
-        timeout=30,
+        timeout=60,
         env={**os.environ, "PYTHONPATH": str(Path(ck.__file__).parent.parent)},
     )
-    lines = child.stdout.splitlines()
-    assert (child.returncode, lines[0], child.stderr) == (code, f"verdict: {verdict}", "")
-    # A refused search did not run, so it claims nothing about orientability.
-    notes = [line[len("note: "):] for line in lines if line.startswith("note: ")]
-    assert [n for n in notes if "cap" in n or "exhaustive" in n] == ([refusal] if refusal else [])
+    # YES includes the certificate's re-check by lpo_greater.
+    assert (child.returncode, child.stdout.splitlines()[0], child.stderr) == (0, "verdict: YES", "")
+    assert "note: search" not in child.stdout
+
+
+def test_no_path_order_function_calls_itself():
+    tree = ast.parse(Path(lpo.__file__).read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert {"_decide", "_lpo3", "_orientable", "lpo_greater", "gt"} <= {f.name for f in functions}
+    for function in functions:
+        called = {
+            node.func.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert function.name not in called
 
 
 def test_path_order_memo_decides_each_pair_once(monkeypatch):
-    calls = 0
-    real = lpo._lpo3
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(lpo, "_lpo3", counting)
+    calls = _count_evaluations(monkeypatch)
     g = FunSym("g", 1)
     tower = Var("x")
     for _ in range(40):
@@ -426,7 +474,7 @@ def test_path_order_memo_decides_each_pair_once(monkeypatch):
     assert search_precedence(Trs.of([_rule(1, lhs, lhs)])) is None
     # At most one evaluation per pair of the 42 subterms under each of the
     # three partial orders the search tries; without the memo, over 2**40.
-    assert calls <= 3 * 42 * 42
+    assert calls[0] <= 3 * 42 * 42
     prec = Precedence((S, g))
     assert not lpo_greater(lhs, lhs, prec)
     assert lpo_greater(s(lhs), lhs, prec)
