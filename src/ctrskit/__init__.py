@@ -15,7 +15,6 @@ from .checker import (
     ProofAlarm,
     ProofOutcome,
     SimulationAlarm,
-    SimulationResult,
     WitnessOrderReport,
     check_commutation,
     check_simulation,

@@ -37,6 +37,7 @@ from .ctrs import (
     ConditionalEngine,
     Dctrs,
     Fuel,
+    Reach,
     Reduction,
     ReductionStep,
     Search,
@@ -64,7 +65,7 @@ from .terms import (
     term_size,
     term_to_str,
 )
-from .unravel import Csrs, unravel, unravel_cs, unravel_rule
+from .unravel import Csrs, unravel_cs, unravel_rule
 
 
 class SimulationAlarm(Exception):
@@ -73,15 +74,6 @@ class SimulationAlarm(Exception):
     def __init__(self, step: ReductionStep):
         self.step = step
         super().__init__(f"no simulating reduction for {step} despite a saturated search")
-
-
-class SimulationResult(NamedTuple):
-    reduction: Optional[Reduction]
-    exhausted: bool
-
-    @property
-    def found(self) -> bool:
-        return self.reduction is not None
 
 
 def _mu_search(engine: MuEngine, start: Term, goal: Term, fuel: Fuel) -> Search:
@@ -99,7 +91,7 @@ def check_simulation(
     system: Csrs,
     fuel: Fuel = DEFAULT_FUEL,
     engine: Optional[MuEngine] = None,
-) -> SimulationResult:
+) -> Reach:
     """Find a nonempty active-position reduction covering a conditional step.
 
     Raises :class:`SimulationAlarm` when the search saturates without finding
@@ -110,7 +102,7 @@ def check_simulation(
     search = _mu_search(eng, step.source, step.target, fuel)
     if search.path is None and not search.exhausted:
         raise SimulationAlarm(step)
-    return SimulationResult(search.path, search.exhausted)
+    return Reach(search.path, search.exhausted)
 
 
 class CommutationError(Exception):
@@ -194,6 +186,20 @@ class ProofAlarm(Exception):
 # The largest seed term, in nodes, enumerated when no seed size is given.
 DEFAULT_SEED_SIZE = 4
 
+_PROVENANCE = {
+    "YES": (
+        "path order orients the unraveled system; its termination restricts "
+        "to mu-termination on original terms, which is equivalent to "
+        "quasi-decreasingness"
+    ),
+    "NO": (
+        "an active-position loop starts from an original term, so the "
+        "context-sensitive unraveling is not mu-terminating on original "
+        "terms, which refutes quasi-decreasingness"
+    ),
+    "MAYBE": "no orienting precedence and no loop within bounds",
+}
+
 
 def prove_quasi_decreasing(
     system: Dctrs, fuel: Fuel = DEFAULT_FUEL, seed_size: int = DEFAULT_SEED_SIZE
@@ -214,7 +220,7 @@ def prove_quasi_decreasing(
     """
     diagnostics: list[str] = []
     methods: dict[str, str] = {}
-    unraveled = unravel(system)
+    unraveled = unravel_cs(system)
     precedence: Optional[Precedence] = None
     try:
         precedence = search_precedence(unraveled)
@@ -228,7 +234,7 @@ def prove_quasi_decreasing(
 
     seeds = enumerate_original_terms(system.signature, seed_size)
     diagnostics.append(f"enumerated {len(seeds)} ground seed terms up to size {seed_size}")
-    loops = mu_terminating_on_seeds(seeds, unravel_cs(system), fuel)
+    loops = mu_terminating_on_seeds(seeds, unraveled, fuel)
     methods["loop-search"] = "NO" if loops.is_loop else "MAYBE"
     if not loops.is_loop:
         diagnostics.append(f"loop search over seeds: {loops}")
@@ -241,32 +247,12 @@ def prove_quasi_decreasing(
         raise ProofAlarm("methods disagree: orientation found together with a loop", methods)
 
     if precedence is not None:
-        return ProofOutcome(
-            "YES",
-            PrecedenceCert(precedence),
-            "path order orients the unraveled system; its termination restricts "
-            "to mu-termination on original terms, which is equivalent to "
-            "quasi-decreasingness",
-            diagnostics,
-            methods,
-        )
-    if loops.is_loop:
-        return ProofOutcome(
-            "NO",
-            LoopCert(loops.witness),
-            "an active-position loop starts from an original term, so the "
-            "context-sensitive unraveling is not mu-terminating on original "
-            "terms, which refutes quasi-decreasingness",
-            diagnostics,
-            methods,
-        )
-    return ProofOutcome(
-        "MAYBE",
-        BoundsExhausted(fuel),
-        "no orienting precedence and no loop within bounds",
-        diagnostics,
-        methods,
-    )
+        verdict, certificate = "YES", PrecedenceCert(precedence)
+    elif loops.is_loop:
+        verdict, certificate = "NO", LoopCert(loops.witness)
+    else:
+        verdict, certificate = "MAYBE", BoundsExhausted(fuel)
+    return ProofOutcome(verdict, certificate, _PROVENANCE[verdict], diagnostics, methods)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +354,8 @@ def validate_witness_order(
     Six module constants cap the sample:
     ``MAX_GRAPH_EXPANSIONS`` (expansions of the combined graph, also held to
     ``fuel.max_steps`` per seed), ``MAX_SOURCES`` (original terms used as
-    sources), ``MAX_PAIRS`` (pairs sampled for obligation 2),
+    sources), ``MAX_PAIRS`` (pairs sampled for obligation 2; no source's
+    reachability closure is built once it is reached),
     ``MAX_STEPS_PER_SOURCE`` (steps simulated per source for obligation 3),
     and for obligation 4 ``MAX_RULE_INSTANCES`` (left-hand-side instances
     per conditional rule) and ``MAX_SOLUTIONS_PER_CONDITION`` (condition
@@ -401,45 +388,41 @@ def validate_witness_order(
         k = next(j for j, t in enumerate(cycle) if is_original(t))
         ob1.refute(" > ".join(term_to_str(t) for t in cycle[k:-1] + cycle[: k + 1]))
 
-    # Sampled pairs and per-source reachability: the closure of the finished
-    # successor lists from the successors of each source, so only nonempty
-    # paths count, in breadth-first order.  The pair list is capped, the
-    # reachability sets are not.
-    reach: dict[Term, dict] = {}
-    sampled_pairs: list[tuple[Term, Term]] = []
-    for source in original_nodes:
-        reach[source] = _closure(succ.get(source, ()), succ)
-        if len(sampled_pairs) < MAX_PAIRS:
-            for target in reach[source]:
-                if is_original(target):
-                    sampled_pairs.append((source, target))
-                    if len(sampled_pairs) >= MAX_PAIRS:
-                        break
-
-    # Obligation 2: closure under plain proper subterms on the original side.
-    # Targets repeat across sources, so each one's proper subterms are
-    # listed once; a pair whose subterms are all reached needs no loop.  The
-    # check stops at the sixth missed subterm, whether or not it is evidence.
+    # Sampled pairs and obligation 2 (closure under plain proper subterms on
+    # the original side), one source at a time until MAX_PAIRS pairs: the
+    # closure of the finished successor lists from the source's successors,
+    # so only nonempty paths count, gives the source's pairs in breadth-first
+    # order and decides their subterms.  Targets repeat across sources, so
+    # each one's proper subterms are listed once; a pair whose subterms are
+    # all reached needs no loop.  The check stops at the sixth missed
+    # subterm, whether or not it is evidence; the sampling goes on.
     ob2 = ObligationResult(2, "closed under proper subterms", True, 0)
+    sampled_pairs: list[tuple[Term, Term]] = []
     proper: dict[Term, tuple[Term, ...]] = {}
     misses = 0
-    for source, target in sampled_pairs:
-        subs = proper.get(target)
-        if subs is None:
-            subs = proper[target] = tuple(islice(subterms(target), 1, None))
-        if all(map(reach[source].__contains__, subs)):
-            ob2.checked += len(subs)
-            continue
-        for sub in subs:
-            ob2.checked += 1
-            if sub not in reach[source]:
-                misses += 1
-                pair = f"{term_to_str(source)} > {term_to_str(target)}"
-                ob2.refute(f"{pair} but not > {term_to_str(sub)}", graph_cut)
-                if misses > 5:
-                    break
-        if misses > 5:
+    for source in original_nodes:
+        room = MAX_PAIRS - len(sampled_pairs)
+        if room <= 0:
             break
+        reached = _closure(succ.get(source, ()), succ)
+        for target in islice(filter(is_original, reached), room):
+            sampled_pairs.append((source, target))
+            if misses > 5:
+                continue
+            subs = proper.get(target)
+            if subs is None:
+                subs = proper[target] = tuple(islice(subterms(target), 1, None))
+            if all(map(reached.__contains__, subs)):
+                ob2.checked += len(subs)
+                continue
+            for sub in subs:
+                ob2.checked += 1
+                if sub not in reached:
+                    misses += 1
+                    pair = f"{term_to_str(source)} > {term_to_str(target)}"
+                    ob2.refute(f"{pair} but not > {term_to_str(sub)}", graph_cut)
+                    if misses > 5:
+                        break
 
     # Obligation 3: every sampled conditional-system step is in the order,
     # witnessed by an explicit simulating reduction.

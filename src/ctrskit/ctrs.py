@@ -47,6 +47,7 @@ from .terms import (
     App,
     FunSym,
     Guard,
+    InvalidPositionError,
     Position,
     Subst,
     Term,
@@ -247,7 +248,7 @@ class ReductionStep(NamedTuple):
         """Re-derive the step from the named rule's sides."""
         try:
             redex = subterm_at(self.source, self.position)
-        except Exception:
+        except InvalidPositionError:
             return False
         return (
             redex == apply_subst(lhs, self.subst)
@@ -317,6 +318,10 @@ class StepSearch(NamedTuple):
 class Reach(NamedTuple):
     reduction: Optional[Reduction]
     exhausted: bool
+
+    @property
+    def found(self) -> bool:
+        return self.reduction is not None
 
 
 # -- the shared search primitives ------------------------------------------

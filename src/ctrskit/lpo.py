@@ -27,7 +27,7 @@ from typing import Callable, Generator, Iterable, Optional, Union
 
 from .records import Frozen
 from .terms import App, FunSym, Term, Var, fun_syms, subterms
-from .unravel import Trs
+from .unravel import Csrs, Trs
 
 
 class UnknownSymbolError(Exception):
@@ -230,7 +230,7 @@ def _orientable(
     return False
 
 
-def search_precedence(system: Trs) -> Optional[Precedence]:
+def search_precedence(system: Union[Trs, Csrs]) -> Optional[Precedence]:
     """The lexicographically first precedence orienting every rule
     left-to-right, or None when no precedence does; a system beyond the
     caps ``MAX_SIGNATURE`` and ``MAX_VERDICTS`` raises
@@ -240,7 +240,9 @@ def search_precedence(system: Trs) -> Optional[Precedence]:
     then arity.  The answer is built greedily: each position takes the
     smallest remaining symbol that can sit above all the others while the
     rules stay orientable, with the partial-order search as the oracle.  A
-    failing search is a single oracle call.
+    failing search is a single oracle call.  The replacement map of a
+    context-sensitive system is not read: its rules are oriented as plain
+    rules, which proves termination under any map.
     """
     symbols = sorted(system.signature, key=lambda s: (s.name, s.arity))
     if len(symbols) > MAX_SIGNATURE:
@@ -266,6 +268,6 @@ def search_precedence(system: Trs) -> Optional[Precedence]:
     return Precedence(tuple(order))
 
 
-def orients(system: Trs, prec: Precedence) -> bool:
+def orients(system: Union[Trs, Csrs], prec: Precedence) -> bool:
     """Re-validate a certificate: every rule strictly decreasing."""
     return all(lpo_greater(r.lhs, r.rhs, prec) for r in system.rules)

@@ -189,6 +189,41 @@ def test_witness_order_bubble_small(bubble):
     assert len(report.sampled_pairs) > 100
 
 
+def test_no_closure_is_built_past_the_pair_cap(bubble, monkeypatch):
+    # With 200 pairs allowed, the 90th of the 144 sources fills the cap, so
+    # 90 closures are built.
+    monkeypatch.setattr(checker, "MAX_PAIRS", 200)
+    originals_per_closure = []
+    real = checker._closure
+
+    def counted(starts, succ):
+        reached = real(starts, succ)
+        originals_per_closure.append(sum(map(ck.is_original, reached)))
+        return reached
+
+    monkeypatch.setattr(checker, "_closure", counted)
+    report = validate_witness_order(bubble, enumerate_original_terms(bubble.signature, 4))
+    *before, last = originals_per_closure
+    assert sum(before) < 200 <= sum(before) + last
+    assert len(originals_per_closure) == 90
+    # The figures of a check that builds every source's closure.
+    assert len(report.sampled_pairs) == 216
+    assert report.obligation(2).checked == 50
+    assert report.ok
+
+
+def test_the_subterm_check_stops_at_the_sixth_miss():
+    # One expansion per seed cuts the graph, so targets on its frontier miss
+    # their subterms: the cut only leaves the report incomplete, and the
+    # check stops after six misses (checking every pair counts 508).
+    quot = load_system("quot")
+    seeds = enumerate_original_terms(quot.signature, 6)
+    report = validate_witness_order(quot, seeds, Fuel(max_steps=1))
+    assert report.incomplete
+    assert report.obligation(2).passed
+    assert report.obligation(2).checked == 273
+
+
 def test_combined_graph_looks_up_each_symbols_active_indices_once(bubble, monkeypatch):
     cs = unravel_cs(bubble)
     seeds = enumerate_original_terms(bubble.signature, 5)

@@ -252,6 +252,18 @@ def test_rewrite_graph_exports(tmp_path):
     assert doc["verdict"]["outcome"] == "terminates"
 
 
+def test_rewrite_graph_export_cut_by_fuel(tmp_path):
+    gjson = tmp_path / "g.json"
+    argv = ["rewrite", corpus("fib_pairs"), "-t", "fib(s(s(s(s(s(0))))))", "--max-steps", "5"]
+    assert cli_main(argv + ["--graph-json", str(gjson)]) == 2
+    doc = json.loads(gjson.read_text())
+    assert doc["complete"] is False
+    assert doc["verdict"] == {
+        "outcome": "unknown",
+        "fuel": {"max_level": 8, "max_steps": 5, "max_term_size": 200},
+    }
+
+
 def test_rewrite_bad_term(capsys):
     assert cli_main(["rewrite", corpus("bubble_sort"), "-t", "zzz(1,2)"]) == 3
 
@@ -266,6 +278,16 @@ def test_simulate(capsys):
 def test_simulate_normal_form(capsys):
     assert cli_main(["simulate", corpus("bubble_sort"), "-s", "true"]) == 0
     assert "no conditional steps" in capsys.readouterr().out
+
+
+def test_simulate_on_an_unraveled_file_is_an_input_error(tmp_path, capsys):
+    unraveled = tmp_path / "bubble.trs"
+    assert cli_main(["unravel", corpus("bubble_sort"), "-o", str(unraveled)]) == 0
+    capsys.readouterr()
+    assert cli_main(["simulate", str(unraveled), "-s", "true"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [unraveling-symbol] r4: symbol U1_r4 is reserved")
+    assert captured.out == ""
 
 
 def _saturated_without_a_path(engine, start, goal, fuel):
@@ -500,6 +522,13 @@ def test_fuel_flags_must_be_positive(capsys, argv):
     captured = capsys.readouterr()
     assert f"argument {argv[-2]}: must be a positive integer, got 0" in captured.err
     assert "fuel bounds" not in captured.err
+    assert captured.out == ""
+
+
+def test_a_fuel_flag_that_is_not_a_number_is_named(capsys):
+    assert cli_main(["prove", corpus("less"), "--max-steps", "abc"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "argument --max-steps: invalid int value: 'abc'" in captured.err
     assert captured.out == ""
 
 

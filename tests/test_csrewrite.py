@@ -87,6 +87,7 @@ def test_explore_self_loop():
     assert verdict.is_loop
     terms = verdict.witness.terms()
     assert terms == [a, a]
+    assert str(verdict) == "loop found: a -> a"
 
 
 def test_explore_unknown_on_tiny_fuel():
@@ -96,6 +97,7 @@ def test_explore_unknown_on_tiny_fuel():
     graph, verdict = explore(t, cs, Fuel(max_level=8, max_steps=2, max_term_size=200))
     assert verdict.outcome == "unknown"
     assert not graph.complete
+    assert str(verdict) == "unknown (bounds exhausted)"
 
 
 def test_terminates_verdicts_stable_under_more_fuel(bubble):

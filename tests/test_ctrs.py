@@ -392,6 +392,19 @@ def _step(**changes):
     return ctrs.ReductionStep(**fields)
 
 
+def test_a_step_at_a_position_outside_its_source_does_not_re_derive():
+    # The source is <(s(0),s(y)): no third argument, 0 has no argument, and
+    # y is a variable.  A malformed position is a bug, not a failed check.
+    lt, s = FunSym("<", 2), FunSym("s", 1)
+    lhs = App(lt, (App(s, (Var("x"),)), App(s, (Var("y"),))))
+    rhs = App(lt, (Var("x"), Var("y")))
+    assert _step().check(lhs, rhs)
+    for position in [(3,), (1, 1, 1), (2, 1, 1)]:
+        assert not _step(position=position).check(lhs, rhs)
+    with pytest.raises(TypeError):
+        _step(position=("1",)).check(lhs, rhs)
+
+
 @pytest.mark.parametrize(
     "field,value", [("subst", {"x": Var("x")}), ("kind", "conditional"), ("level", 3)]
 )

@@ -145,6 +145,8 @@ def test_config_loading(tmp_path, monkeypatch):
             {"external_tools": [{"name": "x", "command": "cat {file}", "transform": "U"}]},
             "config external_tools[0]: field 'transform' must be one of ['ctrs', 'u', 'ucs']",
         ),
+        ({"fuel": 5}, "config fuel must be a JSON object"),
+        ({"external_tools": [{"name": "x"}]}, "config external_tools[0]: missing field 'command'"),
     ],
 )
 def test_malformed_config_is_an_input_error(tmp_path, capsys, config, message):
@@ -232,6 +234,14 @@ def test_external_tool_adapter(tmp_path):
     )
     row = report.rows[0]
     assert row.external == {"fake-yes": "YES", "fake-junk": "ERROR"}
+
+
+def test_an_external_tool_that_cannot_start_reads_error(tmp_path):
+    (tmp_path / "one.ctrs").write_text("(VAR x)\n(RULES f(f(x)) -> f(x))\n")
+    missing = ExternalTool(name="missing", command=f"{tmp_path / 'no-such-tool'} {{file}}")
+    report = run_experiment(str(tmp_path), ExperimentConfig(seed_size=2, external_tools=[missing]))
+    assert report.rows[0].external == {"missing": "ERROR"}
+    assert report.rows[0].verdict == "YES"
 
 
 def test_report_json_shape():

@@ -104,6 +104,13 @@ def test_undeclared_identifier_is_constant():
     assert rule.rhs == App(FunSym("y", 0))
 
 
+def test_empty_argument_list_is_the_constant():
+    problem = parse_problem("(VAR x)\n(RULES f(x) -> c()  g(c()) -> c)")
+    c = App(FunSym("c", 0))
+    assert problem.system.rules[0].rhs == c
+    assert problem.system.rules[1].lhs == App(FunSym("g", 1), (c,))
+
+
 def test_declared_rhs_variable_flagged():
     with pytest.raises(ParseError) as err:
         parse_problem("(VAR x y)\n(RULES f(x) -> y)")
