@@ -232,8 +232,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiment import load_config, run_experiment
 
     config = load_config(args.config)
-    if args.workers is not None:
-        config.workers = args.workers
     if args.seeds_size is not None:
         config.seed_size = args.seeds_size
     report = run_experiment(args.directory, config)
@@ -308,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory")
     p.add_argument("--json", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--workers", type=_positive_int, default=None)
     p.add_argument("--seeds-size", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_experiment)
     return parser

@@ -29,8 +29,6 @@ from .records import Record
 from .report import FORMAT_VERSION, certificate_dict
 from .unravel import unravel, unravel_cs
 
-CONFIG_ENV_VAR = "CTRSKIT_CONFIG"
-
 NON_REPRODUCTION_NOTE = (
     "Built-in methods only: path-order search on the unraveled system and "
     "bounded loop search on its context-sensitive restriction. Published "
@@ -67,6 +65,11 @@ class ExperimentConfig(Record):
         "fuel": DEFAULT_FUEL, "seed_size": DEFAULT_SEED_SIZE, "workers": 1, "external_tools": list
     }
 
+    def _check(self) -> None:
+        # The files are processed one after another; 1 is the one value kept.
+        if self.workers != 1:
+            raise ValueError(f"workers must be 1: {self.workers!r}")
+
 
 # The file an external tool receives, by ``ExternalTool.transform``.
 _EXPORTS = {
@@ -97,32 +100,29 @@ def _fields(section: str, entry, types: dict, required: tuple = ()) -> dict:
 
 
 def load_config(path: Optional[str] = None) -> ExperimentConfig:
-    """Read a JSON config; falls back to the environment variable, then to
-    defaults.  Unknown keys and ill-typed values raise ``ValueError``, which
-    names the offending section, to catch typos."""
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
+    """Read a JSON config, or the defaults when ``path`` is None.  Unknown
+    keys, ill-typed values and repeated tool names raise ``ValueError``,
+    which names the offending section, to catch typos."""
     if path is None:
         return ExperimentConfig()
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(data) - {"fuel", "seed_size", "workers", "external_tools"}
+    unknown = set(data) - {"fuel", "seed_size", "external_tools"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("seed_size", "workers"):
-        value = data.get(key, 1)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"config {key} must be a positive integer")
+    seed_size = data.get("seed_size", DEFAULT_SEED_SIZE)
+    if isinstance(seed_size, bool) or not isinstance(seed_size, int) or seed_size < 1:
+        raise ValueError("config seed_size must be a positive integer")
     tools = data.get("external_tools", [])
     if not isinstance(tools, list):
         raise ValueError("config external_tools must be a JSON list")
-    return ExperimentConfig(
-        fuel=Fuel(**_fields("fuel", data.get("fuel", {}), _FUEL_FIELDS)),
-        seed_size=data.get("seed_size", DEFAULT_SEED_SIZE),
-        workers=data.get("workers", 1),
-        external_tools=[_tool(f"external_tools[{i}]", entry) for i, entry in enumerate(tools)],
-    )
+    fuel = Fuel(**_fields("fuel", data.get("fuel", {}), _FUEL_FIELDS))
+    tools = [_tool(f"external_tools[{i}]", entry) for i, entry in enumerate(tools)]
+    for i, tool in enumerate(tools):
+        if tool.name in [earlier.name for earlier in tools[:i]]:
+            raise ValueError(f"config external_tools[{i}]: duplicate name {tool.name!r}")
+    return ExperimentConfig(fuel=fuel, seed_size=seed_size, external_tools=tools)
 
 
 def _tool(section: str, entry) -> ExternalTool:
@@ -251,14 +251,7 @@ def run_experiment(directory: str, config: Optional[ExperimentConfig] = None) ->
         raise NotADirectoryError(f"not a directory: {directory}")
     cfg = config if config is not None else ExperimentConfig()
     started = time.monotonic()
-    files = sorted(Path(directory).glob("*.ctrs"))
-    if cfg.workers > 1 and len(files) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # pulls in logging
-
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(lambda p: _process_file(p, cfg), files))
-    else:
-        rows = [_process_file(p, cfg) for p in files]
+    rows = [_process_file(p, cfg) for p in sorted(Path(directory).glob("*.ctrs"))]
     rows.sort(key=lambda r: r.system)
 
     verdicts = [r.verdict for r in rows]

@@ -299,6 +299,15 @@ class _Parser:
         return (lhs, rhs, tuple(conditions))
 
 
+def _dctrs(sections: dict) -> Dctrs:
+    """The sections' rules validated as a conditional system."""
+    rules = [ConditionalRule(f"r{i}", *rule) for i, rule in enumerate(sections["rules"], start=1)]
+    outcome = validate_dctrs(rules, extra_symbols=sections["sig"])
+    if isinstance(outcome, list):
+        raise ValidationError(outcome)
+    return outcome
+
+
 def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
     """Parse any of the three supported formats, inferring the kind."""
     parser = _Parser(tokenize(text), path)
@@ -309,14 +318,7 @@ def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
     if strategy is not None and has_conditions:
         raise parser.fail("conditional rules cannot take a STRATEGY section", strategy[0])
     if strategy is None and (sections["oriented"] or has_conditions):
-        rules = [
-            ConditionalRule(f"r{i}", lhs, rhs, conds)
-            for i, (lhs, rhs, conds) in enumerate(sections["rules"], start=1)
-        ]
-        outcome = validate_dctrs(rules, extra_symbols=sections["sig"])
-        if isinstance(outcome, list):
-            raise ValidationError(outcome)
-        return ProblemFile(path, sections["vars"], outcome)
+        return ProblemFile(path, sections["vars"], _dctrs(sections))
 
     try:
         rules = [
@@ -344,9 +346,13 @@ def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
 
 
 def parse_ctrs(text: str, path: str = "<string>") -> Dctrs:
-    """Parse and validate a conditional system; unconditional files are
-    accepted as the degenerate case."""
-    return as_dctrs(parse_problem(text, path))
+    """Parse and validate a conditional system.  A file without conditions is
+    validated as one, with or without a CONDITIONTYPE header; a file with a
+    STRATEGY section is read by :func:`parse_problem` and rejected."""
+    sections = _Parser(tokenize(text), path).parse()
+    if sections["strategy"] is not None:
+        return as_dctrs(parse_problem(text, path))
+    return _dctrs(sections)
 
 
 def as_dctrs(problem: ProblemFile) -> Dctrs:

@@ -19,14 +19,12 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
 
 import ctrskit as ck
 from ctrskit.cli import cli_main
-from ctrskit.experiment import CONFIG_ENV_VAR
 
 CORPUS = Path(ck.corpus_dir())
 SYSTEMS = sorted(path.stem for path in CORPUS.glob("*.ctrs"))
@@ -42,13 +40,8 @@ def _file(name: str) -> str:
 def run(argv: list[str], tmpdir: str = "") -> dict:
     """Exit code and output digests of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.pop(CONFIG_ENV_VAR, None)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(argv)
-    finally:
-        if saved is not None:
-            os.environ[CONFIG_ENV_VAR] = saved
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
 
     def digest(text: str) -> str:
         text = text.replace(str(CORPUS), "<corpus>")

@@ -31,6 +31,29 @@ def test_validate_violations(tmp_path, capsys):
     assert "unbound" in capsys.readouterr().err
 
 
+# Rules without conditions are checked by the same validation whether or not
+# the file declares its condition type.
+UNCONDITIONAL_VIOLATIONS = {
+    "unbound-rhs-var": (
+        "(VAR x y)(RULES f(x) -> y)",
+        "[unbound-rhs-var] r1: right-hand side uses unbound variables ['y']\n",
+    ),
+    "variable-lhs": ("(VAR x)(RULES x -> f(x))", "[variable-lhs] r1: left-hand side is a variable\n"),
+}
+
+
+@pytest.mark.parametrize("header", ["", "(CONDITIONTYPE ORIENTED)"], ids=["bare", "oriented"])
+@pytest.mark.parametrize("case", sorted(UNCONDITIONAL_VIOLATIONS))
+def test_an_unconditional_file_is_validated_like_a_conditional_one(tmp_path, capsys, case, header):
+    text, violations = UNCONDITIONAL_VIOLATIONS[case]
+    (tmp_path / "bad.ctrs").write_text(header + text)
+    assert cli_main(["validate", str(tmp_path / "bad.ctrs")]) == 1
+    assert capsys.readouterr().err == violations
+    assert cli_main(["experiment", str(tmp_path), "--json", str(tmp_path / "out.json")]) == 0
+    (row,) = json.loads((tmp_path / "out.json").read_text())["rows"]
+    assert (row["status"], row["error"]) == ("invalid", violations.rstrip("\n"))
+
+
 def test_validate_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.ctrs"
     bad.write_text("(RULES f(x -> y)\n")
@@ -493,15 +516,15 @@ def test_seeds_size_must_be_positive(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("value", ["0", "-2", "2"])
 def test_experiment_workers_must_be_positive(tmp_path, capsys, value):
-    # Used to run serially and exit 0, while the same value in a config
-    # file is an input error.
+    # The files are processed one after another: there is no --workers flag,
+    # so any value is an input error.
     out = tmp_path / "report.json"
     code = cli_main(["experiment", str(CORPUS), "--workers", value, "--json", str(out)])
     assert code == EXIT_INPUT
     captured = capsys.readouterr()
-    assert f"argument --workers: must be a positive integer, got {value}" in captured.err
+    assert f"unrecognized arguments: --workers {value}" in captured.err
     assert captured.out == ""
     assert not out.exists()
 

@@ -11,7 +11,6 @@ import ctrskit.checker as checker
 from ctrskit.cli import cli_main
 from ctrskit.ctrs import Fuel
 from ctrskit.experiment import (
-    CONFIG_ENV_VAR,
     ExperimentConfig,
     ExternalTool,
     MAX_TOOL_TIMEOUT,
@@ -66,12 +65,6 @@ def test_determinism_across_runs():
     assert to_json(_strip_timing(a.to_dict())) == to_json(_strip_timing(b.to_dict()))
 
 
-def test_workers_do_not_change_results():
-    serial = run_experiment(str(CORPUS), small_config())
-    threaded = run_experiment(str(CORPUS), small_config(workers=4))
-    assert _strip_timing(serial.to_dict()) == _strip_timing(threaded.to_dict())
-
-
 def test_bad_files_become_rows(tmp_path):
     (tmp_path / "broken.ctrs").write_text("(RULES f(x -> )\n")
     (tmp_path / "invalid.ctrs").write_text(
@@ -106,19 +99,15 @@ def test_config_loading(tmp_path, monkeypatch):
             {
                 "fuel": {"max_level": 3, "max_steps": 99, "max_term_size": 50},
                 "seed_size": 2,
-                "workers": 2,
             }
         )
     )
     cfg = load_config(str(cfg_path))
     assert cfg.fuel == Fuel(3, 99, 50)
     assert cfg.seed_size == 2
-    assert cfg.workers == 2
 
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg_path))
-    assert load_config().fuel == Fuel(3, 99, 50)
-
-    monkeypatch.delenv(CONFIG_ENV_VAR)
+    # A config is read only from the path given: the environment names none.
+    monkeypatch.setenv("CTRSKIT_CONFIG", str(cfg_path))
     assert load_config() == ExperimentConfig()
 
     cfg_path.write_text(json.dumps({"frobnicate": 1}))
@@ -147,6 +136,13 @@ def test_config_loading(tmp_path, monkeypatch):
         ),
         ({"fuel": 5}, "config fuel must be a JSON object"),
         ({"external_tools": [{"name": "x"}]}, "config external_tools[0]: missing field 'command'"),
+        # Cases below carry their own ids, so none shifts when one is added.
+        pytest.param({"workers": 2}, "unknown config keys: ['workers']", id="workers-key"),
+        pytest.param(
+            {"external_tools": [{"name": "t", "command": "yes"}, {"name": "t", "command": "no"}]},
+            "config external_tools[1]: duplicate name 't'",
+            id="duplicate-tool-name",
+        ),
     ],
 )
 def test_malformed_config_is_an_input_error(tmp_path, capsys, config, message):

@@ -81,7 +81,7 @@ def test_experiment_with_workers_and_an_external_tool_in_a_fresh_interpreter(tmp
     (tmp_path / "two.ctrs").write_text("(RULES a -> a)\n")
     tool = {"name": "fake", "command": f"{sys.executable} -S -c \"print('NO')\""}
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"workers": 2, "seed_size": 2, "external_tools": [tool]}))
+    config.write_text(json.dumps({"seed_size": 2, "external_tools": [tool]}))
     child = _fresh(
         "from ctrskit.cli import cli_main; code = cli_main(sys.argv[1:]); "
         f"print(code, [m for m in {LAZY!r} if m in sys.modules])",
@@ -90,8 +90,7 @@ def test_experiment_with_workers_and_an_external_tool_in_a_fresh_interpreter(tmp
     assert child.returncode == 0, child.stderr
     lines = child.stdout.splitlines()
     assert lines[-1] == (
-        "0 ['ctrskit.experiment', 'concurrent.futures', 'logging', 'subprocess', 'tempfile', "
-        "'shlex']"
+        "0 ['ctrskit.experiment', 'subprocess', 'tempfile', 'shlex']"
     )
     assert "summary: YES=1 NO=1 MAYBE=0 error=0" in lines
     rows = json.loads((tmp_path / "out.json").read_text())["rows"]

@@ -79,7 +79,7 @@ MUTABLE = {
         [(one, zero)], [_obligation()], True, ["capped"], [{"rule": "r1"}]
     ),
     "ExperimentConfig": lambda: ExperimentConfig(
-        ck.Fuel(2, 30, 40), 5, 2, [ExternalTool("t", "cat {file}")]
+        ck.Fuel(2, 30, 40), 5, 1, [ExternalTool("t", "cat {file}")]
     ),
     "SystemRow": _row,
     "ExperimentReport": lambda: ExperimentReport([_row()], {"YES": 1}, "note", ck.Fuel(), 1.5),
@@ -191,6 +191,8 @@ def test_copies_keep_interned_terms():
             lambda: ck.MuVerdict.loop_found(ck.Reduction(one)),
             "loop witness must end in a repeated term",
         ),
+        # The files are processed one after another; no other value is kept.
+        (lambda: ExperimentConfig(workers=2), "workers must be 1: 2"),
     ],
 )
 def test_construction_checks_are_unchanged(build, message):
