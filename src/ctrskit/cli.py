@@ -128,6 +128,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
         mu_steps = MuEngine(_as_csrs(problem)).steps
         succ = lambda t: (mu_steps(t), False)
 
+    stopped = False
     if args.successors:
         steps, cut = succ(term)
         for step in steps:
@@ -147,10 +148,16 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
             if trace[-1] in seen:
                 break
             seen.add(trace[-1])
+        else:
+            # The budget is spent; the trace is whole only at a normal form.
+            steps, cut = succ(trace[-1])
+            stopped = bool(steps)
         print(" ->\n".join(f"  {term_to_str(t)}" for t in trace))
         cut = cut and not steps
         if cut:
             print("note: the step search hit its bounds at the last term")
+        if stopped:
+            print(f"note: the trace stopped after {fuel.max_steps} steps (--max-steps)")
 
     if args.dot or args.graph_json:
         # Graph export always uses the active-position relation (for plain
@@ -160,7 +167,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
             _write_or_print(graph_dot(graph), args.dot)
         if args.graph_json:
             _write_or_print(to_json(graph_dict(graph, verdict)), args.graph_json)
-    return EXIT_MAYBE if cut else EXIT_YES
+    return EXIT_MAYBE if cut or stopped else EXIT_YES
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -23,7 +23,7 @@ re-parseable text.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .ctrs import ConditionalRule, Dctrs, Violation, validate_dctrs
 from .records import Record
@@ -96,7 +96,6 @@ class _Parser:
         self.pos = 0
         self.arity: dict[str, int] = {}
         self.variables: set[str] = set()
-        self.symbols: dict[tuple[str, int], FunSym] = {}
         self.known_only = known_only
 
     # -- token plumbing ---------------------------------------------------
@@ -140,12 +139,7 @@ class _Parser:
             raise self.fail(
                 f"{name!r} used with {arity} arguments but has arity {known}", token
             )
-        key = (name, self.arity[name])
-        sym = self.symbols.get(key)
-        if sym is None:
-            sym = FunSym(name, key[1])
-            self.symbols[key] = sym
-        return sym
+        return FunSym(name, self.arity[name])
 
     def term(self) -> Term:
         """One term, read on an explicit stack of open applications; each
@@ -299,34 +293,31 @@ class _Parser:
         return (lhs, rhs, tuple(conditions))
 
 
-def _dctrs(sections: dict) -> Dctrs:
-    """The sections' rules validated as a conditional system."""
-    rules = [ConditionalRule(f"r{i}", *rule) for i, rule in enumerate(sections["rules"], start=1)]
-    outcome = validate_dctrs(rules, extra_symbols=sections["sig"])
+def _validated(outcome: Union[Dctrs, list[Violation]]) -> Dctrs:
+    """The outcome of :func:`validate_dctrs`, raising every violation found."""
     if isinstance(outcome, list):
         raise ValidationError(outcome)
     return outcome
 
 
 def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
-    """Parse any of the three supported formats, inferring the kind."""
+    """Parse any of the three supported formats, inferring the kind.  Every
+    file's rules are checked by :func:`validate_dctrs`; a TRS or CSRS may
+    bear the unraveling names that a conditional system may not."""
     parser = _Parser(tokenize(text), path)
     sections = parser.parse()
 
-    has_conditions = any(conds for (_, _, conds) in sections["rules"])
+    rules = [ConditionalRule(f"r{i}", *rule) for i, rule in enumerate(sections["rules"], start=1)]
+    has_conditions = any(rule.conditions for rule in rules)
     strategy = sections["strategy"]
     if strategy is not None and has_conditions:
         raise parser.fail("conditional rules cannot take a STRATEGY section", strategy[0])
-    if strategy is None and (sections["oriented"] or has_conditions):
-        return ProblemFile(path, sections["vars"], _dctrs(sections))
+    outcome = validate_dctrs(rules, extra_symbols=sections["sig"])
+    bad = isinstance(outcome, list) and any(v.code != "unraveling-symbol" for v in outcome)
+    if bad or (strategy is None and (sections["oriented"] or has_conditions)):
+        return ProblemFile(path, sections["vars"], _validated(outcome))
 
-    try:
-        rules = [
-            Rule(f"r{i}", lhs, rhs) for i, (lhs, rhs, _) in enumerate(sections["rules"], start=1)
-        ]
-        trs = Trs.of(rules, extra_symbols=sections["sig"])
-    except ValueError as err:
-        raise ParseError([Diagnostic(1, 1, str(err))]) from None
+    trs = Trs.of([Rule(r.id, r.lhs, r.rhs) for r in rules], extra_symbols=sections["sig"])
     if strategy is None:
         return ProblemFile(path, sections["vars"], trs)
 
@@ -346,13 +337,8 @@ def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
 
 
 def parse_ctrs(text: str, path: str = "<string>") -> Dctrs:
-    """Parse and validate a conditional system.  A file without conditions is
-    validated as one, with or without a CONDITIONTYPE header; a file with a
-    STRATEGY section is read by :func:`parse_problem` and rejected."""
-    sections = _Parser(tokenize(text), path).parse()
-    if sections["strategy"] is not None:
-        return as_dctrs(parse_problem(text, path))
-    return _dctrs(sections)
+    """Parse and validate a conditional system, as :func:`as_dctrs` reads it."""
+    return as_dctrs(parse_problem(text, path))
 
 
 def as_dctrs(problem: ProblemFile) -> Dctrs:
@@ -364,12 +350,8 @@ def as_dctrs(problem: ProblemFile) -> Dctrs:
         raise ParseError(
             [Diagnostic(1, 1, "file carries a STRATEGY section; expected a conditional system")]
         )
-    trs = problem.system
-    rules = [ConditionalRule(r.id, r.lhs, r.rhs) for r in trs.rules]
-    outcome = validate_dctrs(rules, extra_symbols=trs.signature)
-    if isinstance(outcome, list):
-        raise ValidationError(outcome)
-    return outcome
+    rules = [ConditionalRule(r.id, r.lhs, r.rhs) for r in problem.system.rules]
+    return _validated(validate_dctrs(rules, extra_symbols=problem.signature))
 
 
 def parse_term(text: str, problem: ProblemFile) -> Term:
@@ -377,9 +359,7 @@ def parse_term(text: str, problem: ProblemFile) -> Term:
     unknown symbols are rejected (arities could not be checked)."""
     parser = _Parser(tokenize(text), problem.path, known_only=True)
     parser.variables = set(problem.declared_vars)
-    known = {(s.name, s.arity): s for s in problem.signature}
     parser.arity = {s.name: s.arity for s in problem.signature}
-    parser.symbols = dict(known)
     term = parser.term()
     trailing = parser.peek()
     if trailing is not None:

@@ -265,6 +265,9 @@ def search_precedence(system: Union[Trs, Csrs]) -> Optional[Precedence]:
         above = placed
         order.append(c)
         symbols.remove(c)
+        # A pair true under ``above`` is true in every extension of it.
+        verdicts = [_decide((*p, above), _lpo3, varsets, memo, MAX_VERDICTS) for p in pairs]
+        pairs = [p for p, verdict in zip(pairs, verdicts) if verdict is not True]
     return Precedence(tuple(order))
 
 

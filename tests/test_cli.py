@@ -54,6 +54,42 @@ def test_an_unconditional_file_is_validated_like_a_conditional_one(tmp_path, cap
     assert (row["status"], row["error"]) == ("invalid", violations.rstrip("\n"))
 
 
+# Every command reads a TRS file's rules through the same validation, so a
+# bad rule is reported by its code and rule id, not at a made-up position.
+TRS_RULE_ERRORS = {
+    "unbound-rhs-var": (
+        "(VAR x y)(SIG (a 0))(RULES\n  g(x) -> x\n  f(x) -> y\n)",
+        "[unbound-rhs-var] r2: right-hand side uses unbound variables ['y']",
+    ),
+    "variable-lhs": (
+        "(VAR x)(SIG (a 0))(RULES\n  g(x) -> x\n  x -> a\n)",
+        "[variable-lhs] r2: left-hand side is a variable",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["rewrite", "-t", "g(a)"], ["simulate", "-s", "g(a)"]], ids=["rewrite", "simulate"]
+)
+@pytest.mark.parametrize("case", sorted(TRS_RULE_ERRORS))
+def test_a_bad_trs_rule_is_named_by_its_violation(tmp_path, capsys, case, command):
+    text, violation = TRS_RULE_ERRORS[case]
+    path = tmp_path / "bad.trs"
+    path.write_text(text)
+    assert cli_main([command[0], str(path), *command[1:]]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {violation}\n")
+
+
+def test_a_bad_rule_in_a_strategy_file_is_a_violation(tmp_path, capsys):
+    (tmp_path / "bad.ctrs").write_text("(VAR x y)(RULES f(x) -> y)(STRATEGY CONTEXTSENSITIVE (f 1))")
+    violation = "[unbound-rhs-var] r1: right-hand side uses unbound variables ['y']"
+    assert cli_main(["validate", str(tmp_path / "bad.ctrs")]) == 1
+    assert capsys.readouterr() == ("", violation + "\n")
+    assert cli_main(["experiment", str(tmp_path), "--json", str(tmp_path / "out.json")]) == 0
+    (row,) = json.loads((tmp_path / "out.json").read_text())["rows"]
+    assert (row["status"], row["error"]) == ("invalid", violation)
+
+
 def test_validate_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.ctrs"
     bad.write_text("(RULES f(x -> y)\n")
@@ -690,12 +726,30 @@ def test_every_command_takes_terms_of_any_depth(tmp_path):
 @pytest.mark.parametrize("mu", [[], ["--mu"]], ids=["plain", "mu"])
 def test_rewrite_trace_of_a_growing_term(tmp_path, capsys, mu):
     # Each step adds a level, so the trace ends 2,000 levels deep: stepping,
-    # the seen-set and printing must all cope with that depth.
+    # the seen-set and printing must all cope with that depth.  The last term
+    # still has a step, so the trace says that --max-steps cut it (exit 2).
     path = tmp_path / "grow.trs"
     path.write_text("(VAR x)\n(SIG (0 0))\n(RULES\n  f(x) -> f(s(x))\n)\n")
     argv = ["rewrite", str(path), "-t", "f(0)", "--max-steps", "2000", "--max-term-size", "5000"]
-    assert cli_main(argv + mu) == 0
+    assert cli_main(argv + mu) == 2
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2001
+    assert len(lines) == 2002
     assert lines[0] == "  f(0) ->"
-    assert lines[-1] == "  f(" + "s(" * 2000 + "0" + ")" * 2001
+    assert lines[-2] == "  f(" + "s(" * 2000 + "0" + ")" * 2001
+    assert lines[-1] == "note: the trace stopped after 2000 steps (--max-steps)"
+
+
+TRACES = {
+    3: ["  f(a) ->", "  f(b) ->", "  g(a) ->", "  g(b)", "note: the trace stopped after 3 steps (--max-steps)"],
+    4: ["  f(a) ->", "  f(b) ->", "  g(a) ->", "  g(b) ->", "  c"],
+}
+
+
+@pytest.mark.parametrize("max_steps, code", [(3, 2), (4, 0)], ids=["cut", "normal-form"])
+def test_a_trace_cut_by_max_steps_says_so(tmp_path, capsys, max_steps, code):
+    # f(a) reaches the normal form c in four steps; a budget of three stops
+    # the trace at a term that still has a step.
+    path = tmp_path / "chain.trs"
+    path.write_text("(SIG (a 0))(RULES f(a) -> f(b)  f(b) -> g(a)  g(a) -> g(b)  g(b) -> c)")
+    assert cli_main(["rewrite", str(path), "-t", "f(a)", "--max-steps", str(max_steps)]) == code
+    assert capsys.readouterr().out.splitlines() == TRACES[max_steps]
