@@ -50,7 +50,6 @@ from .fmt import (
     parse_term,
     print_csrs,
     print_ctrs,
-    print_trs,
 )
 from .lpo import (
     Precedence,
@@ -87,7 +86,6 @@ from .terms import (
 )
 from .unravel import (
     Csrs,
-    Rule,
     Trs,
     evar_sequence,
     unravel,

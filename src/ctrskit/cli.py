@@ -30,7 +30,7 @@ from .fmt import (
     parse_problem,
     parse_term,
     print_csrs,
-    print_trs,
+    print_ctrs,
 )
 from .report import (
     graph_dict,
@@ -100,7 +100,7 @@ def _cmd_unravel(args: argparse.Namespace) -> int:
     if args.cs:
         text = print_csrs(unravel_cs(system))
     else:
-        text = print_trs(unravel(system))
+        text = print_ctrs(unravel(system))
     _write_or_print(text, args.output)
     return EXIT_YES
 

@@ -103,6 +103,12 @@ class Violation(NamedTuple):
         return f"[{self.code}] {where}: {self.message}"
 
 
+class ValidationError(Exception):
+    def __init__(self, violations: Sequence[Violation]):
+        self.violations = list(violations)
+        super().__init__("; ".join(str(v) for v in self.violations))
+
+
 class Dctrs(Frozen):
     """A validated deterministic conditional system over an original
     signature, which is sorted by ``(name, arity)``."""
@@ -129,6 +135,14 @@ def _rule_symbols(rule: ConditionalRule) -> set[FunSym]:
     for s, t in rule.conditions:
         syms |= fun_syms(s) | fun_syms(t)
     return syms
+
+
+def _signature(
+    symbols: Iterable[FunSym], rules: Iterable[ConditionalRule] = ()
+) -> tuple[FunSym, ...]:
+    """``symbols`` and the symbols of ``rules``, sorted by name and arity."""
+    symbols = set(symbols).union(*map(_rule_symbols, rules))
+    return tuple(sorted(symbols, key=attrgetter("name", "arity")))
 
 
 def validate_dctrs(
@@ -189,15 +203,14 @@ def validate_dctrs(
 
     if violations:
         return violations
-    signature = tuple(sorted(used | set(extra_symbols), key=lambda s: (s.name, s.arity)))
-    return Dctrs(signature=signature, rules=tuple(rules))
+    return Dctrs(_signature(used.union(extra_symbols)), tuple(rules))
 
 
 def _reserved(where: str, symbols: Iterable[FunSym]) -> list[Violation]:
     """A violation for each symbol that bears a name reserved for unraveling."""
     return [
         Violation(where, "unraveling-symbol", f"symbol {s.name} is reserved for unraveled systems")
-        for s in sorted(symbols, key=lambda s: (s.name, s.arity))
+        for s in _signature(symbols)
         if s.is_usymbol
     ]
 

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from .checker import DEFAULT_SEED_SIZE, ProofAlarm, prove_quasi_decreasing
 from .ctrs import DEFAULT_FUEL, Fuel
-from .fmt import ParseError, ValidationError, parse_ctrs, print_csrs, print_ctrs, print_trs
+from .fmt import ParseError, ValidationError, parse_ctrs, print_csrs, print_ctrs
 from .records import Record
 from .report import FORMAT_VERSION, certificate_dict
 from .unravel import unravel, unravel_cs
@@ -74,7 +74,7 @@ class ExperimentConfig(Record):
 # The file an external tool receives, by ``ExternalTool.transform``.
 _EXPORTS = {
     "ctrs": print_ctrs,
-    "u": lambda system: print_trs(unravel(system)),
+    "u": lambda system: print_ctrs(unravel(system)),
     "ucs": lambda system: print_csrs(unravel_cs(system)),
 }
 _FUEL_FIELDS = {"max_level": int, "max_steps": int, "max_term_size": int}

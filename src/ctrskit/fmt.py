@@ -25,10 +25,10 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .ctrs import ConditionalRule, Dctrs, Violation, validate_dctrs
+from .ctrs import ConditionalRule, Dctrs, ValidationError, validate_dctrs
 from .records import Record
 from .terms import App, FunSym, ReplacementMap, Term, Var, vars_of
-from .unravel import Csrs, Rule, Trs
+from .unravel import Csrs, Trs
 
 
 class Diagnostic(NamedTuple):
@@ -44,12 +44,6 @@ class ParseError(Exception):
     def __init__(self, diagnostics: Sequence[Diagnostic]):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(str(d) for d in self.diagnostics))
-
-
-class ValidationError(Exception):
-    def __init__(self, violations: Sequence[Violation]):
-        self.violations = list(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
 
 
 class Token(NamedTuple):
@@ -293,17 +287,10 @@ class _Parser:
         return (lhs, rhs, tuple(conditions))
 
 
-def _validated(outcome: Union[Dctrs, list[Violation]]) -> Dctrs:
-    """The outcome of :func:`validate_dctrs`, raising every violation found."""
-    if isinstance(outcome, list):
-        raise ValidationError(outcome)
-    return outcome
-
-
 def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
-    """Parse any of the three supported formats, inferring the kind.  Every
-    file's rules are checked by :func:`validate_dctrs`; a TRS or CSRS may
-    bear the unraveling names that a conditional system may not."""
+    """Parse any of the three supported formats, inferring the kind.  A
+    conditional system's rules are checked by :func:`validate_dctrs`, a TRS
+    or CSRS file's by :meth:`Trs.of`, which allows the unraveling names."""
     parser = _Parser(tokenize(text), path)
     sections = parser.parse()
 
@@ -312,12 +299,13 @@ def parse_problem(text: str, path: str = "<string>") -> ProblemFile:
     strategy = sections["strategy"]
     if strategy is not None and has_conditions:
         raise parser.fail("conditional rules cannot take a STRATEGY section", strategy[0])
-    outcome = validate_dctrs(rules, extra_symbols=sections["sig"])
-    bad = isinstance(outcome, list) and any(v.code != "unraveling-symbol" for v in outcome)
-    if bad or (strategy is None and (sections["oriented"] or has_conditions)):
-        return ProblemFile(path, sections["vars"], _validated(outcome))
+    if strategy is None and (sections["oriented"] or has_conditions):
+        outcome = validate_dctrs(rules, extra_symbols=sections["sig"])
+        if isinstance(outcome, list):
+            raise ValidationError(outcome)
+        return ProblemFile(path, sections["vars"], outcome)
 
-    trs = Trs.of([Rule(r.id, r.lhs, r.rhs) for r in rules], extra_symbols=sections["sig"])
+    trs = Trs.of(rules, extra_symbols=sections["sig"])
     if strategy is None:
         return ProblemFile(path, sections["vars"], trs)
 
@@ -342,16 +330,19 @@ def parse_ctrs(text: str, path: str = "<string>") -> Dctrs:
 
 
 def as_dctrs(problem: ProblemFile) -> Dctrs:
-    """The conditional system of a parsed file, validating an unconditional
-    one as the degenerate case; a file with a STRATEGY section is rejected."""
-    if isinstance(problem.system, Dctrs):
-        return problem.system
-    if isinstance(problem.system, Csrs):
+    """The conditional system of a parsed file; a TRS, whose rules
+    :meth:`Trs.of` has checked, is the degenerate case unless it bears an
+    unraveling name, and a file with a STRATEGY section is rejected."""
+    system = problem.system
+    if isinstance(system, Dctrs):
+        return system
+    if isinstance(system, Csrs):
         raise ParseError(
             [Diagnostic(1, 1, "file carries a STRATEGY section; expected a conditional system")]
         )
-    rules = [ConditionalRule(r.id, r.lhs, r.rhs) for r in problem.system.rules]
-    return _validated(validate_dctrs(rules, extra_symbols=problem.signature))
+    if any(s.is_usymbol for s in system.signature):
+        raise ValidationError(validate_dctrs(system.rules, extra_symbols=system.signature))
+    return Dctrs(system.signature, system.rules)
 
 
 def parse_term(text: str, problem: ProblemFile) -> Term:
@@ -371,12 +362,12 @@ def parse_term(text: str, problem: ProblemFile) -> Term:
 # Printers
 
 
-def _sections(signature: Sequence[FunSym], rules: Sequence) -> list[str]:
+def _sections(signature: Sequence[FunSym], rules: Sequence[ConditionalRule]) -> list[str]:
     """The VAR, SIG and RULES sections every printer emits."""
     terms: list[Term] = []
     for rule in rules:
         terms += [rule.lhs, rule.rhs]
-        for s, t in getattr(rule, "conditions", ()):
+        for s, t in rule.conditions:
             terms += [s, t]
     return [
         " ".join(["(VAR", *vars_of(terms)]) + ")",
@@ -387,13 +378,11 @@ def _sections(signature: Sequence[FunSym], rules: Sequence) -> list[str]:
     ]
 
 
-def print_ctrs(system: Dctrs) -> str:
+def print_ctrs(system: Union[Dctrs, Trs]) -> str:
+    """A conditional system, or a TRS: its rules carry no conditions, so it
+    is printed without the CONDITIONTYPE header."""
     head = ["(CONDITIONTYPE ORIENTED)"] if any(r.is_conditional for r in system.rules) else []
     return "\n".join(head + _sections(system.signature, system.rules)) + "\n"
-
-
-def print_trs(system: Trs) -> str:
-    return "\n".join(_sections(system.signature, system.rules)) + "\n"
 
 
 def print_csrs(system: Csrs) -> str:

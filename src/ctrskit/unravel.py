@@ -16,51 +16,27 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .ctrs import ConditionalRule, Dctrs
+from .ctrs import ConditionalRule, Dctrs, ValidationError, _signature, validate_dctrs
 from .records import Frozen
-from .terms import (
-    App,
-    FunSym,
-    ReplacementMap,
-    Var,
-    default_u_symbol,
-    fun_syms,
-    term_to_str,
-    vars_of,
-)
-
-
-class Rule(Frozen):
-    """An unconditional rewrite rule."""
-
-    __slots__ = ("id", "lhs", "rhs")
-
-    def _check(self) -> None:
-        if isinstance(self.lhs, Var):
-            raise ValueError(f"rule {self.id}: left-hand side is a variable")
-        extra = set(vars_of(self.rhs)) - set(vars_of(self.lhs))
-        if extra:
-            raise ValueError(f"rule {self.id}: unbound right-hand variables {sorted(extra)}")
-
-    def __str__(self) -> str:
-        return f"{term_to_str(self.lhs)} -> {term_to_str(self.rhs)}"
-
-
-def _signature_of(rules: Sequence[Rule], extra: Sequence[FunSym]) -> tuple[FunSym, ...]:
-    symbols: set[FunSym] = set(extra)
-    for rule in rules:
-        symbols |= fun_syms(rule.lhs) | fun_syms(rule.rhs)
-    return tuple(sorted(symbols, key=lambda s: (s.name, s.arity)))
+from .terms import App, FunSym, ReplacementMap, Var, default_u_symbol, vars_of
 
 
 class Trs(Frozen):
-    """An unconditional term rewrite system."""
+    """An unconditional term rewrite system: its rules carry no conditions."""
 
     __slots__ = ("signature", "rules")
 
     @classmethod
-    def of(cls, rules: Sequence[Rule], extra_symbols: Sequence[FunSym] = ()) -> "Trs":
-        return cls(_signature_of(rules, extra_symbols), tuple(rules))
+    def of(cls, rules: Sequence[ConditionalRule], extra_symbols: Sequence[FunSym] = ()) -> "Trs":
+        """The system of ``rules``, checked by :func:`validate_dctrs`.  Any
+        violation but an unraveling name, which an unraveled system bears,
+        raises :class:`ValidationError` with every violation found."""
+        outcome = validate_dctrs(rules, extra_symbols)
+        if isinstance(outcome, Dctrs):
+            return cls(outcome.signature, outcome.rules)
+        if any(v.code != "unraveling-symbol" for v in outcome):
+            raise ValidationError(outcome)
+        return cls(_signature(extra_symbols, rules), tuple(rules))
 
 
 class Csrs(Frozen):
@@ -81,12 +57,12 @@ def evar_sequence(rule: ConditionalRule, i: int) -> list[str]:
     return [v for v in vars_of(rule.conditions[i - 1][1]) if v not in bound]
 
 
-def unravel_rule(rule: ConditionalRule) -> list[Rule]:
+def unravel_rule(rule: ConditionalRule) -> list[ConditionalRule]:
     """The n+1 unconditional rules encoding an n-condition rule (n > 0);
-    unconditional rules pass through untouched."""
+    an unconditional rule is returned as itself."""
     n = len(rule.conditions)
     if n == 0:
-        return [Rule(rule.id, rule.lhs, rule.rhs)]
+        return [rule]
 
     lhs_vars = vars_of(rule.lhs)
     extra_vars = [evar_sequence(rule, i) for i in range(1, n + 1)]
@@ -101,32 +77,28 @@ def unravel_rule(rule: ConditionalRule) -> list[Rule]:
 
     u_syms = [default_u_symbol(rule.id, i, 1 + len(carried(i))) for i in range(1, n + 1)]
 
-    out: list[Rule] = []
     s1 = rule.conditions[0][0]
-    out.append(
-        Rule(f"{rule.id}.1", rule.lhs, App(u_syms[0], (s1, *carried(1))))
-    )
+    out = [ConditionalRule(f"{rule.id}.1", rule.lhs, App(u_syms[0], (s1, *carried(1))))]
     for i in range(1, n):
         t_i = rule.conditions[i - 1][1]
         s_next = rule.conditions[i][0]
         out.append(
-            Rule(
+            ConditionalRule(
                 f"{rule.id}.{i + 1}",
                 App(u_syms[i - 1], (t_i, *carried(i))),
                 App(u_syms[i], (s_next, *carried(i + 1))),
             )
         )
     t_n = rule.conditions[n - 1][1]
-    out.append(Rule(f"{rule.id}.{n + 1}", App(u_syms[n - 1], (t_n, *carried(n))), rule.rhs))
+    last = App(u_syms[n - 1], (t_n, *carried(n)))
+    out.append(ConditionalRule(f"{rule.id}.{n + 1}", last, rule.rhs))
     return out
 
 
 def unravel(system: Dctrs) -> Trs:
     """Replace every conditional rule by its unraveled rules, in place."""
-    rules: list[Rule] = []
-    for rule in system.rules:
-        rules.extend(unravel_rule(rule))
-    return Trs.of(rules, extra_symbols=system.signature)
+    rules = [new for rule in system.rules for new in unravel_rule(rule)]
+    return Trs(_signature(system.signature, rules), tuple(rules))
 
 
 def unravel_cs(system: Dctrs) -> Csrs:

@@ -90,6 +90,16 @@ def test_a_bad_rule_in_a_strategy_file_is_a_violation(tmp_path, capsys):
     assert (row["status"], row["error"]) == ("invalid", violation)
 
 
+def test_validate_names_the_condition_of_a_determinism_violation(tmp_path, capsys):
+    bad = tmp_path / "bad.ctrs"
+    bad.write_text("(CONDITIONTYPE ORIENTED)(VAR x y z)(SIG (a 0))(RULES f(x) -> y | g(z) == y)")
+    assert cli_main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "[determinism] r1, condition 1: condition source uses variables ['z'] not bound "
+        "by the left-hand side or earlier condition targets\n"
+    )
+
+
 def test_validate_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.ctrs"
     bad.write_text("(RULES f(x -> y)\n")
@@ -239,6 +249,24 @@ def test_rewrite_successors(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert ":(s(0),:(0,nil))" in out
+
+
+# Terms to rewrite may hold variables, at the root or as arguments.
+OPEN_TERM_STEP = ":(0,:(s(x),ys)) -> :(s(x),:(0,ys)) [r4 @ e]"
+
+
+def test_rewrite_and_simulate_open_terms(capsys):
+    bubble = corpus("bubble_sort")
+    assert cli_main(["rewrite", bubble, "-t", ":(0,:(s(x),ys))", "--successors"]) == 0
+    assert capsys.readouterr().out == OPEN_TERM_STEP + "\n"
+    assert cli_main(["simulate", bubble, "-s", ":(0,:(s(x),ys))"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"step: {OPEN_TERM_STEP}",
+        "  simulation (3 mu-steps): :(0,:(s(x),ys)) -> U1_r4(<(0,s(x)),0,s(x),ys) "
+        "-> U1_r4(true,0,s(x),ys) -> :(s(x),:(0,ys))",
+    ]
+    assert cli_main(["rewrite", bubble, "-t", "x", "--successors"]) == 0
+    assert capsys.readouterr().out == "no successors (normal form)\n"
 
 
 def test_rewrite_trace_mu(capsys):

@@ -23,7 +23,7 @@ from ctrskit.terms import (
     active_positions,
     term_to_str,
 )
-from ctrskit.unravel import Rule, unravel, unravel_cs
+from ctrskit.unravel import unravel, unravel_cs
 
 
 def bubble_cs(bubble):

@@ -12,7 +12,6 @@ from ctrskit.fmt import (
     parse_term,
     print_csrs,
     print_ctrs,
-    print_trs,
     tokenize,
 )
 from ctrskit.terms import App, FunSym, Var
@@ -165,7 +164,7 @@ def _same_system(a, b) -> bool:
 
 def test_roundtrip_trs_and_csrs(bubble):
     trs = unravel(bubble)
-    reparsed = parse_problem(print_trs(trs))
+    reparsed = parse_problem(print_ctrs(trs))
     assert reparsed.kind == "trs"
     assert _same_system(reparsed.system, trs)
 
@@ -180,7 +179,7 @@ def test_unraveled_exports_reparse_to_the_same_symbols():
     for path in sorted(CORPUS.glob("*.ctrs")):
         system = parse_ctrs(path.read_text(), str(path))
         for exported, text in [
-            (unravel(system), print_trs(unravel(system))),
+            (unravel(system), print_ctrs(unravel(system))),
             (unravel_cs(system), print_csrs(unravel_cs(system))),
         ]:
             signature = parse_problem(text).signature
@@ -271,7 +270,7 @@ def test_parser_diagnostics(case):
 
 def test_empty_system_skeleton():
     empty = Trs((), ())
-    text = print_trs(empty)
+    text = print_ctrs(empty)
     assert text.splitlines()[0] == "(VAR)"
     assert parse_problem(text).system == empty
 

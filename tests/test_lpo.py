@@ -14,6 +14,7 @@ from conftest import CORPUS, SMALL_SIG, load_system, random_ground_term, terms_o
 
 import ctrskit as ck
 from ctrskit import lpo
+from ctrskit.ctrs import ConditionalRule
 from ctrskit.lpo import (
     Precedence,
     SearchRefusedError,
@@ -34,7 +35,7 @@ from ctrskit.terms import (
     subterms,
     vars_of,
 )
-from ctrskit.unravel import Rule, Trs, unravel
+from ctrskit.unravel import Trs, unravel
 
 LT = FunSym("<", 2)
 S = FunSym("s", 1)
@@ -286,10 +287,10 @@ def _terms(depth: int):
     )
 
 
-def _rule(i: int, lhs: Term, rhs: Term) -> Rule:
+def _rule(i: int, lhs: Term, rhs: Term) -> ConditionalRule:
     # Unbound right-hand variables become the constant a.
     unbound = set(vars_of(rhs)) - set(vars_of(lhs))
-    return Rule(f"r{i}", lhs, apply_subst(rhs, {v: App(A0) for v in unbound}))
+    return ConditionalRule(f"r{i}", lhs, apply_subst(rhs, {v: App(A0) for v in unbound}))
 
 
 small_trs = st.lists(

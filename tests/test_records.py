@@ -30,7 +30,7 @@ def _reduction() -> ck.Reduction:
 
 
 def _trs() -> ck.Trs:
-    return ck.Trs((ZERO, S), (ck.Rule("r1", s_x, X),))
+    return ck.Trs((ZERO, S), (ck.ConditionalRule("r1", s_x, X),))
 
 
 def _obligation() -> ck.ObligationResult:
@@ -52,7 +52,6 @@ FROZEN = {
     "Dctrs": lambda: ck.Dctrs((ZERO, S), (ck.ConditionalRule("r1", s_x, X),)),
     "Fuel": lambda: ck.Fuel(2, 30, 40),
     "Reduction": _reduction,
-    "Rule": lambda: ck.Rule("r1", s_x, X),
     "Trs": _trs,
     "Csrs": lambda: ck.Csrs(_trs().signature, _trs().rules, ck.ReplacementMap.full((ZERO, S))),
     "Precedence": lambda: ck.Precedence((S, ZERO)),
@@ -88,7 +87,7 @@ ALL = {**FROZEN, **TUPLES, **MUTABLE}
 
 
 def test_every_record_class_is_listed():
-    assert len(ALL) == 26
+    assert len(ALL) == 25
     assert all(type(make()).__name__ == name for name, make in ALL.items())
 
 
@@ -148,8 +147,6 @@ def test_systems_with_the_same_fields_differ_by_type():
     trs = _trs()
     assert ck.Dctrs(trs.signature, trs.rules) != trs
     assert ck.Fuel() != (8, 500, 200)
-    assert ck.Rule("r1", s_x, X) != ck.ConditionalRule("r1", s_x, X)
-    assert ck.Rule("r1", s_x, X) != ("r1", s_x, X)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -176,8 +173,18 @@ def test_copies_keep_interned_terms():
         (lambda: ck.Fuel(max_steps=0), "all fuel bounds must be strictly positive"),
         (lambda: ck.Fuel(0, 1, 1), "all fuel bounds must be strictly positive"),
         (lambda: ck.Precedence((S, ZERO, S)), "precedence lists a symbol twice"),
-        (lambda: ck.Rule("r1", s_x, ck.Var("y")), "rule r1: unbound right-hand variables ['y']"),
-        (lambda: ck.Rule("r2", X, zero), "rule r2: left-hand side is a variable"),
+        # These two ids name the messages of the deleted `Rule` check; `Trs.of`
+        # now refuses the same rules with `validate`'s messages.
+        pytest.param(
+            lambda: ck.Trs.of([ck.ConditionalRule("r1", s_x, ck.Var("y"))]),
+            "[unbound-rhs-var] r1: right-hand side uses unbound variables ['y']",
+            id="<lambda>-rule r1: unbound right-hand variables ['y']",
+        ),
+        pytest.param(
+            lambda: ck.Trs.of([ck.ConditionalRule("r2", X, zero)]),
+            "[variable-lhs] r2: left-hand side is a variable",
+            id="<lambda>-rule r2: left-hand side is a variable",
+        ),
         (lambda: ck.Reduction(zero, (_step(),)), "reduction steps do not chain"),
         (
             lambda: ck.ProofOutcome("YES", ck.BoundsExhausted(ck.Fuel()), ""),
@@ -193,12 +200,30 @@ def test_copies_keep_interned_terms():
         ),
         # The files are processed one after another; no other value is kept.
         (lambda: ExperimentConfig(workers=2), "workers must be 1: 2"),
+        (lambda: ck.FunSym("", 0), "function symbol name must be non-empty"),
+        (lambda: ck.FunSym("f", -1), "negative arity for 'f'"),
     ],
 )
 def test_construction_checks_are_unchanged(build, message):
-    with pytest.raises(ValueError) as err:
+    with pytest.raises((ValueError, ck.ValidationError)) as err:
         build()
     assert str(err.value) == message
+
+
+def test_trs_of_checks_its_rules_as_validate_does():
+    # Only the unraveling names, which an unraveled system bears, are allowed.
+    for code, rules in [
+        ("unbound-rhs-var", [ck.ConditionalRule("r1", s_x, ck.Var("y"))]),
+        ("variable-lhs", [ck.ConditionalRule("r1", X, zero)]),
+        ("duplicate-id", [ck.ConditionalRule("r1", s_x, X), ck.ConditionalRule("r1", one, zero)]),
+    ]:
+        with pytest.raises(ck.ValidationError) as err:
+            ck.Trs.of(rules)
+        assert [v.code for v in err.value.violations] == [code]
+    assert ck.ValidationError is ck.fmt.ValidationError is ck.ctrs.ValidationError
+    u_rule = ck.ConditionalRule("r1", s_x, ck.App(ck.FunSym("U1_r1", 1), (X,)))
+    trs = ck.Trs.of([u_rule])
+    assert (trs.signature, trs.rules) == ((ck.FunSym("U1_r1", 1), S), (u_rule,))
 
 
 def test_keyword_construction_and_defaults():

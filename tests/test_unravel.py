@@ -6,7 +6,6 @@ import ctrskit as ck
 from ctrskit.ctrs import ConditionalRule
 from ctrskit.terms import App, FunSym, Var, is_original, match, positions, subterm_at
 from ctrskit.unravel import (
-    Rule,
     evar_sequence,
     unravel,
     unravel_cs,
@@ -78,9 +77,7 @@ def test_unravel_rule_bubble_swap(bubble):
 def test_unravel_counts(bubble):
     assert len(unravel(bubble).rules) == 5
     less = load_system("less")
-    assert unravel(less).rules == tuple(
-        Rule(r.id, r.lhs, r.rhs) for r in less.rules
-    )
+    assert unravel(less).rules == less.rules
     two = ck.validate_dctrs([TWO_COND])
     assert len(unravel(two).rules) == 3
     fresh = [s for s in unravel(two).signature if s.is_usymbol]
