@@ -80,9 +80,10 @@ def _mu_search(engine: MuEngine, start: Term, goal: Term, fuel: Fuel) -> Search:
     """Bounded search for a nonempty active-position reduction start ->+ goal."""
     return bfs(
         [start],
-        lambda t: within_size(engine.steps(t), fuel.max_term_size),
+        lambda t: within_size(engine.targets(t), fuel.max_term_size),
         expansion_budget(fuel.max_steps),
         goal,
+        engine.step,
     )
 
 
@@ -296,10 +297,6 @@ MAX_SOLUTIONS_PER_CONDITION = 3
 MAX_RULE_INSTANCES = 400
 
 
-def _itself(t: Term) -> Term:
-    return t
-
-
 def _combined_graph(
     seeds: Sequence[Term], fuel: Fuel, engine: MuEngine
 ) -> tuple[list[Term], dict[Term, list[Term]], bool]:
@@ -312,15 +309,14 @@ def _combined_graph(
     def successors(t: Term) -> list[Optional[Term]]:
         out: list[Optional[Term]] = [None]  # too large to rewrite
         if term_size(t) <= fuel.max_term_size:
-            steps = within_size(engine.steps(t), fuel.max_term_size)
-            out = [None if step is None else step.target for step in steps]
+            out = within_size(engine.targets(t), fuel.max_term_size)
         if isinstance(t, App) and t.args:
             out += [t.args[i - 1] for i in engine._active_indices(t.sym)]
         succ[t] = [u for u in out if u is not None]
         return out
 
     cap = min(MAX_GRAPH_EXPANSIONS, fuel.max_steps * max(1, len(seeds)))
-    search = bfs(seeds, successors, expansion_budget(cap), target=_itself)
+    search = bfs(seeds, successors, expansion_budget(cap))
     return list(search.reached), succ, search.exhausted
 
 
@@ -381,7 +377,7 @@ def validate_witness_order(
 
     # Obligation 1: the sampled relation is acyclic (bounded stand-in for
     # well-foundedness).
-    cycle = dfs(nodes, succ, lambda ts: any(map(is_original, ts)), target=_itself).cycle
+    cycle = dfs(nodes, succ, lambda ts: any(map(is_original, ts))).cycle
     ob1 = ObligationResult(1, "well-founded on original terms", True, len(nodes))
     if cycle is not None:
         # Rotate so the cycle starts at an original term.

@@ -39,7 +39,7 @@ from .report import (
     to_json,
     witness_report_dict,
 )
-from .terms import ReplacementMap, term_to_str
+from .terms import ReplacementMap, Term, term_to_str
 from .unravel import Csrs, unravel, unravel_cs
 
 EXIT_YES = 0
@@ -122,11 +122,16 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     fuel = _fuel_from(args)
     if isinstance(problem.system, Dctrs) and not args.mu:
         succ = ConditionalEngine(problem.system, fuel).all_steps
+
+        def reducts(t: Term) -> tuple[list[Term], bool]:
+            steps, cut = succ(t)
+            return [step.target for step in steps], cut
     else:
         # No condition search, so no bound cuts these steps; plain TRS inputs
         # rewrite under the full replacement map.
-        mu_steps = MuEngine(_as_csrs(problem)).steps
-        succ = lambda t: (mu_steps(t), False)
+        mu = MuEngine(_as_csrs(problem))
+        succ = lambda t: (mu.steps(t), False)
+        reducts = lambda t: (mu.targets(t), False)
 
     stopped = False
     if args.successors:
@@ -141,19 +146,19 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
         trace = [term]
         seen = {term}
         for _ in range(fuel.max_steps):
-            steps, cut = succ(trace[-1])
-            if not steps:
+            targets, cut = reducts(trace[-1])
+            if not targets:
                 break
-            trace.append(steps[0].target)
+            trace.append(targets[0])
             if trace[-1] in seen:
                 break
             seen.add(trace[-1])
         else:
             # The budget is spent; the trace is whole only at a normal form.
-            steps, cut = succ(trace[-1])
-            stopped = bool(steps)
+            targets, cut = reducts(trace[-1])
+            stopped = bool(targets)
         print(" ->\n".join(f"  {term_to_str(t)}" for t in trace))
-        cut = cut and not steps
+        cut = cut and not targets
         if cut:
             print("note: the step search hit its bounds at the last term")
         if stopped:

@@ -1,24 +1,17 @@
-"""Rewriting restricted to active positions, bounded reduction-graph
-exploration, loop detection, and bounded termination verdicts on
-original-signature terms.
+"""Rewriting restricted to active positions, and the bounded loop search
+behind termination verdicts on original-signature terms.
 
-Exploration deduplicates terms globally, so a reduct shared by many paths is
-expanded once.  A verdict is one of: the graph was fully expanded and acyclic
-(terminates within the reported depth), a term repeats along a path (loop
-witness), or fuel ran out first (unknown).
+The loop search walks a graph of terms: a breadth-first expansion of a
+seed's reducts, deduplicated so that a reduct shared by many paths is
+expanded once, then one depth-first walk.  A verdict is one of: the graph
+was fully expanded and acyclic (terminates within the reported depth), a
+term repeats along a path (loop witness), or fuel ran out first (unknown).
 
-A :class:`MuEngine` computes a term's steps from its arguments' steps and
-keeps those of every term it meets, subterms included, for its lifetime:
-they depend on the system alone, so the memo is never invalidated.  A term
-not in the memo is filled bottom-up from an explicit stack of its uncached
-active subterms, so stepping does not recurse once per term level.
-
-Over many seeds, :func:`mu_terminating_on_seeds` settles each term's graph
-once.  A settled term reaches no cycle and no step past ``max_term_size``;
-the memo keeps its height and an upper bound on the terms it reaches.  A
-seed whose bound, or else whose exact count of reachable terms, is at most
-``max_steps`` gets exactly the answer ``explore`` would give, without a
-search; only the other seeds are explored.
+A :class:`MuEngine` keeps one memo of every term it meets, subterms
+included: its distinct reducts and its root redexes, which depend on the
+system alone.  It is filled bottom-up from an explicit stack, so stepping
+does not recurse once per term level.  Steps, with their positions and
+substitutions, are built from it only for certificates and exports.
 """
 
 from __future__ import annotations
@@ -32,11 +25,12 @@ from .ctrs import (
     KIND_MU,
     Reduction,
     ReductionStep,
+    Search,
     bfs,
     dfs,
     expansion_budget,
     guarded_rules_by_root,
-    lift_steps,
+    reduction,
     within_size,
 )
 from .records import Record
@@ -44,11 +38,13 @@ from .terms import (
     ROOT,
     App,
     FunSym,
+    Subst,
     Term,
     admits,
     apply_subst,
     is_original,
     match,
+    replace_at,
     term_size,
     term_to_str,
 )
@@ -91,61 +87,115 @@ class MuVerdict(NamedTuple):
 
 
 class MuEngine:
-    """Memoized one-step successor enumeration at the active positions of a
+    """Memoized one-step rewriting at the active positions of a
     context-sensitive system.  Plain rewriting is the special case of the
     full replacement map (:meth:`ReplacementMap.full`).
 
     A term's steps are its root steps, rules in ``rules_by_root`` order, then
-    each active argument's memoized steps lifted in ascending argument order:
-    a preorder walk, so positions come out in sorted order.  A rule whose
+    each active argument's steps lifted in ascending argument order: a
+    preorder walk, so positions come out in sorted order.  A rule whose
     argument guard clashes with the term's arguments is skipped unmatched.
+
+    The one memo maps a term to its distinct targets, in the order of its
+    steps, and its root redexes as (rule id, substitution, right-hand side
+    instance), so each rule is matched once per subject.  Steps are rebuilt
+    from it on each call and never kept.
     """
 
     def __init__(self, system: Csrs):
         self.system = system
         self._rules_at = guarded_rules_by_root(system.rules)
-        self._active: dict[FunSym, tuple[int, ...]] = {}
-        self._cache: dict[Term, tuple[ReductionStep, ...]] = {}
+        self._active = {sym: tuple(sorted(ix)) for sym, ix in system.mu.entries.items()}
+        # term -> (distinct targets, root redexes)
+        self._memo: dict[Term, tuple[tuple[Term, ...], tuple[tuple[str, Subst, Term], ...]]] = {}
 
-    def steps(self, s: Term) -> tuple[ReductionStep, ...]:
-        # A miss fills the cache bottom-up from a stack of the active
-        # subterms not in it yet: a term is computed once its active
-        # arguments are cached, so no call recurses per term level.
-        cache = self._cache
-        cached = cache.get(s)
-        if cached is not None:
-            return cached
+    def targets(self, s: Term) -> tuple[Term, ...]:
+        """The distinct one-step reducts of ``s``, first occurrences in the
+        order of its steps."""
+        memo = self._memo
+        entry = memo.get(s)
+        if entry is not None:
+            return entry[0]
+        # A term is filled once its active arguments are, so no call recurses
+        # per term level.
         todo = [s]
         while todo:
             t = todo[-1]
-            if t in cache:  # pushed twice, as f(u, u) pushes u
+            if t in memo:  # pushed twice, as f(u, u) pushes u
                 todo.pop()
                 continue
-            out: list[ReductionStep] = []
+            entry = ((), ())  # a constant: normal forms share it
             if t.__class__ is App:
-                active = self._active_indices(t.sym) if t.args else ()
-                missing = [t.args[i - 1] for i in active if t.args[i - 1] not in cache]
+                args = t.args
+                active = self._active_indices(t.sym) if args else ()
+                missing = [args[i - 1] for i in active if args[i - 1] not in memo]
                 if missing:
                     todo += missing
                     continue
+                redexes = []
                 for rule, guard in self._rules_at.get(t.sym, ()):
-                    if not admits(guard, t.args):
-                        continue
-                    sigma = match(rule.lhs, t)
-                    if sigma is not None:
-                        rhs = apply_subst(rule.rhs, sigma)
-                        out.append(ReductionStep(t, rhs, ROOT, rule.id, sigma, KIND_MU))
+                    if admits(guard, args):
+                        sigma = match(rule.lhs, t)
+                        if sigma is not None:
+                            redexes.append((rule.id, sigma, apply_subst(rule.rhs, sigma)))
+                out = [rhs for _, _, rhs in redexes]
                 for i in active:
-                    out += lift_steps(t, i, cache[t.args[i - 1]])
-            cache[t] = tuple(out)
+                    below = memo[args[i - 1]][0]
+                    if below:
+                        sym, before, after = t.sym, args[: i - 1], args[i:]
+                        out += [App(sym, before + (u,) + after) for u in below]
+                if out:
+                    entry = (tuple(dict.fromkeys(out)), tuple(redexes))
+            memo[t] = entry
             todo.pop()
-        return cache[s]
+        return memo[s][0]
+
+    def steps(self, s: Term) -> tuple[ReductionStep, ...]:
+        """The steps of ``s``, rebuilt from the memo on each call: a preorder
+        walk down the active arguments that have a target, and each root
+        redex met replaced in ``s``."""
+        memo, out = self._memo, []
+        todo = [(s, ROOT)] if self.targets(s) else []
+        while todo:
+            t, p = todo.pop()
+            out += [
+                ReductionStep(s, replace_at(s, p, rhs), p, rule_id, sigma, KIND_MU)
+                for rule_id, sigma, rhs in memo[t][1]
+            ]
+            if t.args:
+                todo += [
+                    (t.args[i - 1], p + (i,))
+                    for i in reversed(self._active_indices(t.sym))
+                    if memo[t.args[i - 1]][0]
+                ]
+        return tuple(out)
+
+    def step(self, s: Term, t: Term) -> ReductionStep:
+        """The first of the steps of ``s`` whose target is ``t``, which must
+        be one of its targets: the edge a search over targets takes.  One
+        walk down the memo finds it, and builds no other step."""
+        memo, position, u, v = self._memo, [], s, t
+        while True:
+            for rule_id, sigma, rhs in memo[u][1]:
+                if rhs == v:
+                    return ReductionStep(s, t, tuple(position), rule_id, sigma, KIND_MU)
+            # No root step reaches v, so v is u with one active argument rewritten.
+            args, goal = u.args, v.args
+            i = next(
+                i
+                for i in self._active_indices(u.sym)
+                if goal[i - 1] in memo[args[i - 1]][0]
+                and goal[: i - 1] == args[: i - 1]
+                and goal[i:] == args[i:]
+            )
+            position.append(i)
+            u, v = args[i - 1], goal[i - 1]
 
     def _active_indices(self, sym: FunSym) -> tuple[int, ...]:
+        """The active argument indices of ``sym``, ascending; a symbol with
+        no entry raises :class:`MissingReplacementError`."""
         indices = self._active.get(sym)
-        if indices is None:
-            indices = self._active[sym] = tuple(sorted(self.system.mu.active_indices(sym)))
-        return indices
+        return indices if indices is not None else self.system.mu.active_indices(sym)
 
 
 class ReductionGraph(Record):
@@ -155,36 +205,44 @@ class ReductionGraph(Record):
     _defaults = {"nodes": list, "edges": list, "depth": dict, "complete": True}
 
 
+def _loop_search(
+    s: Term, eng: MuEngine, fuel: Fuel
+) -> tuple[Search, dict[Term, list[Term]], MuVerdict]:
+    """Breadth-first expansion of the reducts of ``s``, then one depth-first
+    walk for a loop or, failing that, the longest path.  Returns the search,
+    the expanded nodes' successors within the size bound, and the verdict."""
+    succ: dict[Term, list[Term]] = {}
+
+    def successors(t: Term) -> list[Optional[Term]]:
+        out = within_size(eng.targets(t), fuel.max_term_size)
+        succ[t] = out if None not in out else [u for u in out if u is not None]
+        return out
+
+    search = bfs([s], successors, expansion_budget(fuel.max_steps))
+    walk = dfs([s], succ)
+    if walk.path is not None:
+        return search, succ, MuVerdict.loop_found(reduction(walk.path, eng.step))
+    if search.exhausted:
+        return search, succ, MuVerdict.unknown(fuel)
+    return search, succ, MuVerdict.terminates_within(walk.heights[s])
+
+
 def explore(
     s: Term,
     system: Csrs,
     fuel: Fuel = DEFAULT_FUEL,
     engine: Optional[MuEngine] = None,
 ) -> tuple[ReductionGraph, MuVerdict]:
-    """Breadth-first expansion of the active-position rewrite relation, then
-    one depth-first walk for a loop or, failing that, the longest path."""
+    """The loop search from ``s`` with its graph: every reached term, its
+    breadth-first depth, and each expanded term's steps within the size
+    bound, in expansion order."""
     eng = engine if engine is not None else MuEngine(system)
-    edges: list[ReductionStep] = []
-    out_edges: dict[Term, list[ReductionStep]] = {}
-
-    def successors(t: Term) -> list[Optional[ReductionStep]]:
-        out = within_size(eng.steps(t), fuel.max_term_size)
-        out_edges[t] = [step for step in out if step is not None]
-        edges.extend(out_edges[t])
-        return out
-
-    search = bfs([s], successors, expansion_budget(fuel.max_steps))
-    depth = {}
-    for t, step in search.reached.items():
-        depth[t] = 0 if step is None else depth[step.source] + 1
-    graph = ReductionGraph(s, list(search.reached), edges, depth, not search.exhausted)
-
-    walk = dfs([s], out_edges)
-    if walk.path is not None:
-        return graph, MuVerdict.loop_found(Reduction(s, tuple(walk.path)))
-    if not graph.complete:
-        return graph, MuVerdict.unknown(fuel)
-    return graph, MuVerdict.terminates_within(walk.heights[s])
+    search, succ, verdict = _loop_search(s, eng, fuel)
+    depth: dict[Term, int] = {}
+    for t, parent in search.reached.items():
+        depth[t] = 0 if parent is None else depth[parent] + 1
+    edges = [st for t in succ for st in eng.steps(t) if term_size(st.target) <= fuel.max_term_size]
+    return ReductionGraph(s, list(search.reached), edges, depth, not search.exhausted), verdict
 
 
 def mu_terminating_on_seeds(
@@ -192,100 +250,27 @@ def mu_terminating_on_seeds(
     system: Csrs,
     fuel: Fuel = DEFAULT_FUEL,
 ) -> MuVerdict:
-    """Aggregate exploration over seed terms, on one engine; a loop anywhere
-    dominates, then fuel exhaustion, then termination with the maximal depth.
-
-    A memo that lives for this call maps each settled term, one whose whole
-    reachable graph is known to be acyclic with every step within
-    ``max_term_size``, to its height and an upper bound on its reachable
-    nodes.  A settled seed whose bound, or else its count of reachable terms
-    over the engine's memoized steps, is at most ``max_steps`` is answered
-    from the memo: ``explore`` would expand every node, drop no edge, find
-    no cycle and return that height.  Every other seed goes through
-    ``explore``, so loops, their witnesses and unknowns are exactly as
-    ``explore`` gives them.  It answers such a seed "loop" or "unknown"
-    only: the seed reaches a cycle, which a complete graph shows, or an
-    oversize step or more than ``max_steps`` terms, which cut the graph.
-    """
+    """The loop search of :func:`explore` from each seed in turn, on one
+    engine: a loop anywhere dominates, then fuel exhaustion, then
+    termination with the maximal depth.  A normal-form seed is answered at
+    once, with depth 0."""
     for seed in seeds:
         if not is_original(seed):
             raise ValueError(f"seed {term_to_str(seed)} contains unraveling symbols")
     eng = MuEngine(system)
-    settled: dict[Term, tuple[int, int]] = {}
     max_depth = 0
     unknown: Optional[MuVerdict] = None
     for seed in seeds:
-        known = settled.get(seed) or _settle(seed, eng, fuel, settled)
-        if known is not None and (
-            known[1] <= fuel.max_steps
-            or not bfs([seed], eng.steps, expansion_budget(fuel.max_steps)).exhausted
-        ):
-            max_depth = max(max_depth, known[0])
+        if not eng.targets(seed):
             continue
-        _, verdict = explore(seed, system, fuel, engine=eng)
+        verdict = _loop_search(seed, eng, fuel)[2]
         if verdict.is_loop:
             return verdict
-        unknown = verdict
-    return unknown or MuVerdict.terminates_within(max_depth)
-
-
-def _settle(
-    seed: Term, eng: MuEngine, fuel: Fuel, settled: dict[Term, tuple[int, int]]
-) -> Optional[tuple[int, int]]:
-    """Settle ``seed`` and the unsettled terms it reaches into ``settled``,
-    each as (height, reach bound), and return the seed's entry; None when
-    the seed cannot be settled within ``fuel``.
-
-    A breadth-first walk lists the unsettled part of the graph: it gives up
-    once it lists more than ``max_steps`` terms, which ``explore`` could not
-    all expand, or at a step whose target exceeds ``max_term_size``.  A post-order walk with an explicit stack then
-    settles the listed terms, and gives up at the first back edge: a term
-    that finished before it reaches no cycle, so it stays settled.  A
-    term's bound is 1 plus the sum of its distinct successors' bounds,
-    capped at ``max_steps + 1``: shared terms count once per path, so it
-    never undercounts.
-    """
-    if not eng.steps(seed):  # a normal form, as most seeds are
-        settled[seed] = (0, 1)
-        return settled[seed]
-    succ: dict[Term, tuple[Term, ...]] = {seed: ()}  # listed -> distinct successors
-    queue = [seed]
-    for t in queue:  # grows while it is walked
-        targets = tuple(dict.fromkeys([step.target for step in eng.steps(t)]))
-        for u in targets:
-            if term_size(u) > fuel.max_term_size:
-                return None
-            if u not in succ and u not in settled:
-                succ[u] = ()
-                queue.append(u)
-        if len(queue) > fuel.max_steps:
-            return None
-        succ[t] = targets
-
-    cap = fuel.max_steps + 1
-    on_path = {seed}
-    stack = [(seed, iter(succ[seed]))]
-    while stack:
-        t, todo = stack[-1]
-        for u in todo:
-            if u in settled:
-                continue
-            if u in on_path:
-                return None
-            on_path.add(u)
-            stack.append((u, iter(succ[u])))
-            break
+        if verdict.outcome == "unknown":
+            unknown = verdict
         else:
-            stack.pop()
-            on_path.discard(t)
-            height, bound = 0, 1
-            for u in succ[t]:
-                h, b = settled[u]
-                if h >= height:
-                    height = h + 1
-                bound += b
-            settled[t] = (height, min(bound, cap))
-    return settled[seed]
+            max_depth = max(max_depth, verdict.bound)
+    return unknown or MuVerdict.terminates_within(max_depth)
 
 
 def enumerate_original_terms(signature: Sequence[FunSym], max_size: int) -> list[Term]:

@@ -346,26 +346,21 @@ def expansion_budget(limit: int) -> Callable[[], bool]:
     return lambda: next(spent) <= limit
 
 
-def within_size(
-    steps: Iterable[ReductionStep], max_term_size: int
-) -> list[Optional[ReductionStep]]:
-    """``steps`` in order, with None in place of each step whose target
-    exceeds ``max_term_size``."""
-    return [step if term_size(step.target) <= max_term_size else None for step in steps]
+def within_size(terms: Iterable[Term], max_term_size: int) -> list[Optional[Term]]:
+    """``terms`` in order, with None in place of each one that exceeds
+    ``max_term_size``."""
+    return [t if term_size(t) <= max_term_size else None for t in terms]
 
 
-def _path_from(reached: dict[Term, Optional[ReductionStep]], last: ReductionStep) -> Reduction:
-    """The step path from a search start through ``last``."""
-    chain = [last]
-    while reached[chain[-1].source] is not None:
-        chain.append(reached[chain[-1].source])
-    chain.reverse()
-    return Reduction(chain[0].source, tuple(chain))
+def reduction(terms: Sequence[Term], step: Callable[[Term, Term], ReductionStep]) -> Reduction:
+    """The reduction through ``terms``, with ``step(u, v)`` from each term
+    to the next."""
+    return Reduction(terms[0], tuple(map(step, terms, terms[1:])))
 
 
 class Search(NamedTuple):
     # Every discovered node in BFS order, the starts first, mapped to the
-    # edge that discovered it (None for a start).
+    # node that discovered it (None for a start).
     reached: dict
     path: Optional[Reduction]  # a nonempty path to the goal, when one was found
     exhausted: bool
@@ -376,17 +371,18 @@ def bfs(
     successors: Callable[[Any], Iterable[Any]],
     charge: Callable[[], bool],
     goal: Optional[Term] = None,
-    target: Callable[[Any], Any] = attrgetter("target"),
+    step: Optional[Callable[[Term, Term], ReductionStep]] = None,
 ) -> Search:
     """The bounded breadth-first search behind every search in the toolkit.
 
-    ``successors(node)`` yields the node's out-edges in order, with None in
-    place of each edge the caller dropped or could not compute (term-size
+    ``successors(node)`` yields the node's successors in order, with None in
+    place of each one the caller dropped or could not compute (term-size
     filters belong to callers); a None makes the search exhausted from that
-    point on.  ``target`` maps an edge to its node.  ``charge()`` runs before
-    each expansion; once it returns False the search stops, exhausted.
-    ``goal`` is tested on every kept edge before the seen-check, so a goal
-    equal to a start needs a nonempty cycle back to it.
+    point on.  ``charge()`` runs before each expansion; once it returns
+    False the search stops, exhausted.  ``goal`` is tested on every kept
+    successor before the seen-check, so a goal equal to a start needs a
+    nonempty cycle back to it.  The path to it is the :func:`reduction`
+    through the nodes that discovered each other, with ``step``.
     """
     reached: dict = dict.fromkeys(starts)
     queue = list(reached)
@@ -394,15 +390,17 @@ def bfs(
     for current in queue:  # grows while it is walked
         if not charge():
             return Search(reached, None, True)
-        for edge in successors(current):
-            if edge is None:
+        for nxt in successors(current):
+            if nxt is None:
                 exhausted = True
                 continue
-            nxt = target(edge)
             if goal is not None and nxt == goal:
-                return Search(reached, _path_from(reached, edge), exhausted)
+                chain = [goal, current]
+                while reached[chain[-1]] is not None:
+                    chain.append(reached[chain[-1]])
+                return Search(reached, reduction(chain[::-1], step), exhausted)
             if nxt not in reached:
-                reached[nxt] = edge
+                reached[nxt] = current
                 queue.append(nxt)
     return Search(reached, None, exhausted)
 
@@ -411,16 +409,15 @@ _ON_PATH = -1
 
 
 class Walk(NamedTuple):
-    path: Optional[list]  # edges from a root through the accepted back edge
+    path: Optional[list]  # nodes from a root through the accepted back edge's target
     cycle: Optional[list]  # that cycle's nodes [t, ..., t]
     heights: Optional[dict]  # without any cycle: node -> longest path length
 
 
 def dfs(
     roots: Iterable[Any],
-    out_edges: dict[Any, Sequence[Any]],
+    succ: dict[Any, Sequence[Any]],
     accept: Optional[Callable[[list], bool]] = None,
-    target: Callable[[Any], Any] = attrgetter("target"),
 ) -> Walk:
     """Iterative depth-first search from each unvisited root in turn, the one
     cycle finder of the toolkit.
@@ -435,23 +432,21 @@ def dfs(
         if root in state:
             continue
         state[root] = _ON_PATH
-        nodes, path, best = [root], [], [0]  # the current path; best heights so far
-        stack = [iter(out_edges.get(root, ()))]
+        nodes, best = [root], [0]  # the current path; best heights so far
+        stack = [iter(succ.get(root, ()))]
         while stack:
-            for edge in stack[-1]:
-                nxt = target(edge)
+            for nxt in stack[-1]:
                 mark = state.get(nxt)
                 if mark is None:
                     state[nxt] = _ON_PATH
                     nodes.append(nxt)
-                    path.append(edge)
                     best.append(0)
-                    stack.append(iter(out_edges.get(nxt, ())))
+                    stack.append(iter(succ.get(nxt, ())))
                     break
                 if mark == _ON_PATH:
                     cycle = nodes[nodes.index(nxt):] + [nxt]
                     if accept is None or accept(cycle):
-                        return Walk(path + [edge], cycle, None)
+                        return Walk(nodes + [nxt], cycle, None)
                     acyclic = False
                 elif mark >= best[-1]:
                     best[-1] = mark + 1
@@ -459,8 +454,7 @@ def dfs(
                 stack.pop()
                 height = best.pop()
                 state[nodes.pop()] = height
-                if path:
-                    path.pop()
+                if best:
                     best[-1] = max(best[-1], height + 1)
     return Walk(None, None, state if acyclic else None)
 
@@ -611,18 +605,20 @@ class ConditionalEngine:
         if cached is not None:
             return cached
 
-        search = bfs([t], lambda s: self._search_edges(s, budget), self._charge)
+        search = bfs([t], lambda s: self._search_edges(*self._successors(s, budget)), self._charge)
         result = (tuple(search.reached), search.exhausted)
         if self._work <= self.fuel.max_steps:
             self._reduct_cache[key] = result
         return result
 
-    def _search_edges(self, s: Term, budget: int) -> list[Optional[ReductionStep]]:
-        """Out-edges of ``s`` for :func:`bfs`: a leading None when a condition
-        search was cut short, then the steps within the term-size bound."""
-        steps, exhausted = self._successors(s, budget)
-        cut: list[Optional[ReductionStep]] = [None] if exhausted else []
-        return cut + within_size(steps, self.fuel.max_term_size)
+    def _search_edges(
+        self, steps: Sequence[ReductionStep], exhausted: bool
+    ) -> list[Optional[Term]]:
+        """Successors for :func:`bfs` from a term's ``steps``: a leading None
+        when a condition search was cut short, then the targets within the
+        term-size bound."""
+        cut: list[Optional[Term]] = [None] if exhausted else []
+        return cut + within_size([step.target for step in steps], self.fuel.max_term_size)
 
     def _successors(self, s: Term, budget: int) -> tuple[tuple[ReductionStep, ...], bool]:
         """All one-step reducts of ``s`` at levels <= budget, deduplicated by
@@ -710,12 +706,16 @@ class ConditionalEngine:
         self._work = 0
         if start == goal:
             return Reach(Reduction(start), False)
-        search = bfs(
-            [start],
-            lambda s: self._search_edges(s, self.fuel.max_level),
-            self._charge,
-            goal,
-        )
+        expanded: dict[Term, tuple[ReductionStep, ...]] = {}
+
+        def successors(s: Term) -> list[Optional[Term]]:
+            expanded[s], exhausted = self._successors(s, self.fuel.max_level)
+            return self._search_edges(expanded[s], exhausted)
+
+        def step(u: Term, v: Term) -> ReductionStep:
+            return next(st for st in expanded[u] if st.target == v)
+
+        search = bfs([start], successors, self._charge, goal, step)
         return Reach(search.path, search.exhausted)
 
 

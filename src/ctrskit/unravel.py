@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .ctrs import ConditionalRule, Dctrs, ValidationError, _signature, validate_dctrs
+from .ctrs import ConditionalRule, Dctrs, ValidationError, Violation, _signature, validate_dctrs
 from .records import Frozen
 from .terms import App, FunSym, ReplacementMap, Var, default_u_symbol, vars_of
 
@@ -28,14 +28,18 @@ class Trs(Frozen):
 
     @classmethod
     def of(cls, rules: Sequence[ConditionalRule], extra_symbols: Sequence[FunSym] = ()) -> "Trs":
-        """The system of ``rules``, checked by :func:`validate_dctrs`.  Any
+        """The system of ``rules``, checked by :func:`validate_dctrs`, and a
+        ``conditional-rule`` violation for each rule with conditions.  Any
         violation but an unraveling name, which an unraveled system bears,
         raises :class:`ValidationError` with every violation found."""
         outcome = validate_dctrs(rules, extra_symbols)
+        violations = [] if isinstance(outcome, Dctrs) else outcome
+        cond = "a TRS or CSRS rule has no conditions"
+        violations += [Violation(r.id, "conditional-rule", cond) for r in rules if r.conditions]
+        if any(v.code != "unraveling-symbol" for v in violations):
+            raise ValidationError(violations)
         if isinstance(outcome, Dctrs):
             return cls(outcome.signature, outcome.rules)
-        if any(v.code != "unraveling-symbol" for v in outcome):
-            raise ValidationError(outcome)
         return cls(_signature(extra_symbols, rules), tuple(rules))
 
 

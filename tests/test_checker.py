@@ -261,7 +261,7 @@ def test_witness_order_passes_over_cycles_of_unraveled_terms_only():
     seeds = enumerate_original_terms(system.signature, 2)
     cs = unravel_cs(system)
     nodes, succ, _ = checker._combined_graph(seeds, Fuel(), MuEngine(cs))
-    first = dfs(nodes, succ, target=checker._itself).cycle
+    first = dfs(nodes, succ).cycle
     assert [term_to_str(t) for t in first] == ["U1_r2(g(c),c)", "U1_r2(g(c),c)"]
     report = validate_witness_order(system, seeds)
     assert report.obligation(1).failures == ["g(c) > g(c)"]

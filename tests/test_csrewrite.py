@@ -147,7 +147,7 @@ def test_loop_verdict_precedence():
 
 def explore_each_seed(seeds, cs, fuel):
     """The aggregate of one ``explore`` per seed on a shared engine: the
-    reference that the memo of settled terms must reproduce exactly."""
+    reference that ``mu_terminating_on_seeds`` must reproduce exactly."""
     engine = MuEngine(cs)
     max_depth, any_unknown = 0, False
     for seed in seeds:
@@ -198,48 +198,6 @@ def test_settled_memo_equals_explore_on_random_systems():
         for fuel in (Fuel(max_steps=3), Fuel(max_steps=10), Fuel(max_steps=30, max_term_size=8)):
             outcomes.add(assert_same_verdict(seeds, cs, fuel).outcome)
     assert outcomes == {"terminates", "loop", "unknown"}
-
-
-@pytest.mark.parametrize(
-    "name, size, fewest, most",
-    [("bubble_sort", 5, 0, 0), ("two_step_loop", 3, 1, 1), ("fib_pairs", 6, 1, 10)],
-)
-def test_only_unsettled_seeds_reach_explore(monkeypatch, name, size, fewest, most):
-    # A seed goes to explore only when the memo cannot settle it within fuel:
-    # a loop, an unknown, or a reach bound above max_steps.  A memo that fell
-    # back for every seed would make 852, 3 and 373 calls here.
-    cs = unravel_cs(load_system(name))
-    seeds = enumerate_original_terms(cs.signature, size)
-    calls = []
-    real = csrewrite.explore
-
-    def counting_explore(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(csrewrite, "explore", counting_explore)
-    mu_terminating_on_seeds(seeds, cs)
-    assert fewest <= len(calls) <= most
-
-
-def test_settled_seeds_reaching_at_most_max_steps_terms_skip_explore(monkeypatch):
-    # Five settled fib_pairs seeds reach 52-277 terms but have reach bounds
-    # above max_steps = 500, since a shared term counts once per path; their
-    # exact counts let the memo answer them.  Only the unknown seed is left.
-    cs = unravel_cs(load_system("fib_pairs"))
-    seeds = enumerate_original_terms(cs.signature, 6)
-    calls = []
-    real = csrewrite.explore
-
-    def counting_explore(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(csrewrite, "explore", counting_explore)
-    verdict = mu_terminating_on_seeds(seeds, cs)
-    assert [term_to_str(t) for t in calls] == ["fib(s(s(s(s(0)))))"]
-    monkeypatch.setattr(csrewrite, "explore", real)
-    assert verdict == explore_each_seed(seeds, cs, Fuel())
 
 
 def test_enumerate_original_terms(bubble):

@@ -116,27 +116,64 @@ def test_config_loading(tmp_path, monkeypatch):
 
 
 
+# Every case carries its own id, so that none shifts when one is added; the
+# first eleven keep the ids that pytest once gave them by position.
 @pytest.mark.parametrize(
     "config,message",
     [
-        ([1, 2], "config must be a JSON object"),
-        ({"precedence_cap": 10}, "unknown config keys: ['precedence_cap']"),
-        ({"fuel": {"max_lvl": 3}}, "config fuel: unknown field 'max_lvl'"),
-        ({"fuel": {"max_level": "3"}}, "config fuel: field 'max_level' has the wrong type"),
-        (
+        pytest.param(
+            [1, 2], "config must be a JSON object", id="config0-config must be a JSON object"
+        ),
+        pytest.param(
+            {"precedence_cap": 10},
+            "unknown config keys: ['precedence_cap']",
+            id="config1-unknown config keys: ['precedence_cap']",
+        ),
+        pytest.param(
+            {"fuel": {"max_lvl": 3}},
+            "config fuel: unknown field 'max_lvl'",
+            id="config2-config fuel: unknown field 'max_lvl'",
+        ),
+        pytest.param(
+            {"fuel": {"max_level": "3"}},
+            "config fuel: field 'max_level' has the wrong type",
+            id="config3-config fuel: field 'max_level' has the wrong type",
+        ),
+        pytest.param(
             {"external_tools": [{"name": "x", "cmd": "echo"}]},
             "config external_tools[0]: unknown field 'cmd'",
+            id="config4-config external_tools[0]: unknown field 'cmd'",
         ),
-        ({"external_tools": {"name": "x"}}, "config external_tools must be a JSON list"),
-        ({"seed_size": "2"}, "config seed_size must be a positive integer"),
-        ({"seed_size": 0}, "config seed_size must be a positive integer"),
-        (
+        pytest.param(
+            {"external_tools": {"name": "x"}},
+            "config external_tools must be a JSON list",
+            id="config5-config external_tools must be a JSON list",
+        ),
+        pytest.param(
+            {"seed_size": "2"},
+            "config seed_size must be a positive integer",
+            id="config6-config seed_size must be a positive integer",
+        ),
+        pytest.param(
+            {"seed_size": 0},
+            "config seed_size must be a positive integer",
+            id="config7-config seed_size must be a positive integer",
+        ),
+        pytest.param(
             {"external_tools": [{"name": "x", "command": "cat {file}", "transform": "U"}]},
             "config external_tools[0]: field 'transform' must be one of ['ctrs', 'u', 'ucs']",
+            id="config8-config external_tools[0]: field 'transform' must be one of ['ctrs', 'u', 'ucs']",
         ),
-        ({"fuel": 5}, "config fuel must be a JSON object"),
-        ({"external_tools": [{"name": "x"}]}, "config external_tools[0]: missing field 'command'"),
-        # Cases below carry their own ids, so none shifts when one is added.
+        pytest.param(
+            {"fuel": 5},
+            "config fuel must be a JSON object",
+            id="config9-config fuel must be a JSON object",
+        ),
+        pytest.param(
+            {"external_tools": [{"name": "x"}]},
+            "config external_tools[0]: missing field 'command'",
+            id="config10-config external_tools[0]: missing field 'command'",
+        ),
         pytest.param({"workers": 2}, "unknown config keys: ['workers']", id="workers-key"),
         pytest.param(
             {"external_tools": [{"name": "t", "command": "yes"}, {"name": "t", "command": "no"}]},

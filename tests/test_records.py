@@ -216,6 +216,7 @@ def test_trs_of_checks_its_rules_as_validate_does():
         ("unbound-rhs-var", [ck.ConditionalRule("r1", s_x, ck.Var("y"))]),
         ("variable-lhs", [ck.ConditionalRule("r1", X, zero)]),
         ("duplicate-id", [ck.ConditionalRule("r1", s_x, X), ck.ConditionalRule("r1", one, zero)]),
+        ("conditional-rule", [ck.ConditionalRule("r1", s_x, X, ((X, zero),))]),
     ]:
         with pytest.raises(ck.ValidationError) as err:
             ck.Trs.of(rules)

@@ -158,7 +158,17 @@ def test_steps_equal_the_reference_on_the_corpus():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_steps_equal_the_reference_on_random_systems(seed):
     system = _random_dctrs(random.Random(seed))
-    check_against_reference(system, enumerate_original_terms(system.signature, 3))
+    seeds = enumerate_original_terms(system.signature, 3)
+    check_against_reference(system, seeds)
+    # The searches read only the memoized targets: the steps' targets, once
+    # each; a certificate's step to a target is the first step that has it.
+    cs = unravel_cs(system)
+    engine = MuEngine(cs)
+    for t in explored_terms(seeds, cs):
+        steps = engine.steps(t)
+        assert engine.targets(t) == tuple(dict.fromkeys(s.target for s in steps))
+        for u in engine.targets(t):
+            assert full([engine.step(t, u)]) == full([next(s for s in steps if s.target == u)])
 
 
 def test_mu_engine_matches_each_rule_and_subject_once(monkeypatch):
