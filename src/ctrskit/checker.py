@@ -122,11 +122,10 @@ def check_commutation(s: Term, t: Term, u: Term, system: Csrs) -> Term:
             f"{term_to_str(t)} is not an active proper subterm of {term_to_str(s)}"
         )
     engine = MuEngine(system)
-    witnesses = [st for st in engine.steps(t) if st.target == u]
-    if not witnesses:
+    if u not in engine.targets(t):
         raise CommutationError(f"{term_to_str(t)} does not rewrite to {term_to_str(u)}")
     p = holes[0]
-    inner = witnesses[0]
+    inner = engine.step(t, u)
     v = replace_at(s, p, u)
 
     lifted = p + inner.position

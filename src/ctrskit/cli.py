@@ -39,7 +39,7 @@ from .report import (
     to_json,
     witness_report_dict,
 )
-from .terms import ReplacementMap, Term, term_to_str
+from .terms import ReplacementMap, term_to_str
 from .unravel import Csrs, unravel, unravel_cs
 
 EXIT_YES = 0
@@ -121,11 +121,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     term = parse_term(args.term, problem)
     fuel = _fuel_from(args)
     if isinstance(problem.system, Dctrs) and not args.mu:
-        succ = ConditionalEngine(problem.system, fuel).all_steps
-
-        def reducts(t: Term) -> tuple[list[Term], bool]:
-            steps, cut = succ(t)
-            return [step.target for step in steps], cut
+        engine = ConditionalEngine(problem.system, fuel)
+        succ, reducts = engine.all_steps, engine.targets
     else:
         # No condition search, so no bound cuts these steps; plain TRS inputs
         # rewrite under the full replacement map.

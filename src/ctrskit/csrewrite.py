@@ -8,7 +8,7 @@ was fully expanded and acyclic (terminates within the reported depth), a
 term repeats along a path (loop witness), or fuel ran out first (unknown).
 
 A :class:`MuEngine` keeps one memo of every term it meets, subterms
-included: its distinct reducts and its root redexes, which depend on the
+included: its step entry (see :mod:`ctrskit.ctrs`), which depends on the
 system alone.  It is filled bottom-up from an explicit stack, so stepping
 does not recurse once per term level.  Steps, with their positions and
 substitutions, are built from it only for certificates and exports.
@@ -23,6 +23,7 @@ from .ctrs import (
     DEFAULT_FUEL,
     Fuel,
     KIND_MU,
+    NORMAL_FORM,
     Reduction,
     ReductionStep,
     Search,
@@ -30,21 +31,21 @@ from .ctrs import (
     dfs,
     expansion_budget,
     guarded_rules_by_root,
+    memo_entry,
+    memo_step,
+    memo_steps,
     reduction,
     within_size,
 )
 from .records import Record
 from .terms import (
-    ROOT,
     App,
     FunSym,
-    Subst,
     Term,
     admits,
     apply_subst,
     is_original,
     match,
-    replace_at,
     term_size,
     term_to_str,
 )
@@ -91,23 +92,17 @@ class MuEngine:
     context-sensitive system.  Plain rewriting is the special case of the
     full replacement map (:meth:`ReplacementMap.full`).
 
-    A term's steps are its root steps, rules in ``rules_by_root`` order, then
-    each active argument's steps lifted in ascending argument order: a
-    preorder walk, so positions come out in sorted order.  A rule whose
-    argument guard clashes with the term's arguments is skipped unmatched.
-
-    The one memo maps a term to its distinct targets, in the order of its
-    steps, and its root redexes as (rule id, substitution, right-hand side
-    instance), so each rule is matched once per subject.  Steps are rebuilt
-    from it on each call and never kept.
+    The one memo maps a term to its step entry over the active arguments,
+    root rules in ``rules_by_root`` order, so each rule is matched once per
+    subject; a rule whose argument guard clashes with the term's arguments
+    is skipped unmatched.  Steps are rebuilt from it on each call.
     """
 
     def __init__(self, system: Csrs):
         self.system = system
         self._rules_at = guarded_rules_by_root(system.rules)
         self._active = {sym: tuple(sorted(ix)) for sym, ix in system.mu.entries.items()}
-        # term -> (distinct targets, root redexes)
-        self._memo: dict[Term, tuple[tuple[Term, ...], tuple[tuple[str, Subst, Term], ...]]] = {}
+        self._memo: dict[Term, tuple] = {}  # term -> its step entry
 
     def targets(self, s: Term) -> tuple[Term, ...]:
         """The distinct one-step reducts of ``s``, first occurrences in the
@@ -124,7 +119,7 @@ class MuEngine:
             if t in memo:  # pushed twice, as f(u, u) pushes u
                 todo.pop()
                 continue
-            entry = ((), ())  # a constant: normal forms share it
+            entry = NORMAL_FORM
             if t.__class__ is App:
                 args = t.args
                 active = self._active_indices(t.sym) if args else ()
@@ -137,59 +132,26 @@ class MuEngine:
                     if admits(guard, args):
                         sigma = match(rule.lhs, t)
                         if sigma is not None:
-                            redexes.append((rule.id, sigma, apply_subst(rule.rhs, sigma)))
-                out = [rhs for _, _, rhs in redexes]
+                            redexes.append((rule.id, sigma, apply_subst(rule.rhs, sigma), None))
+                below = []
                 for i in active:
-                    below = memo[args[i - 1]][0]
-                    if below:
-                        sym, before, after = t.sym, args[: i - 1], args[i:]
-                        out += [App(sym, before + (u,) + after) for u in below]
-                if out:
-                    entry = (tuple(dict.fromkeys(out)), tuple(redexes))
+                    e = memo[args[i - 1]]
+                    if e[0]:
+                        below.append((i, e))
+                entry = memo_entry(t, redexes, below)
             memo[t] = entry
             todo.pop()
         return memo[s][0]
 
     def steps(self, s: Term) -> tuple[ReductionStep, ...]:
-        """The steps of ``s``, rebuilt from the memo on each call: a preorder
-        walk down the active arguments that have a target, and each root
-        redex met replaced in ``s``."""
-        memo, out = self._memo, []
-        todo = [(s, ROOT)] if self.targets(s) else []
-        while todo:
-            t, p = todo.pop()
-            out += [
-                ReductionStep(s, replace_at(s, p, rhs), p, rule_id, sigma, KIND_MU)
-                for rule_id, sigma, rhs in memo[t][1]
-            ]
-            if t.args:
-                todo += [
-                    (t.args[i - 1], p + (i,))
-                    for i in reversed(self._active_indices(t.sym))
-                    if memo[t.args[i - 1]][0]
-                ]
-        return tuple(out)
+        """The steps of ``s``, rebuilt from the memo on each call."""
+        self.targets(s)
+        return memo_steps(s, self._memo[s], KIND_MU)
 
     def step(self, s: Term, t: Term) -> ReductionStep:
         """The first of the steps of ``s`` whose target is ``t``, which must
-        be one of its targets: the edge a search over targets takes.  One
-        walk down the memo finds it, and builds no other step."""
-        memo, position, u, v = self._memo, [], s, t
-        while True:
-            for rule_id, sigma, rhs in memo[u][1]:
-                if rhs == v:
-                    return ReductionStep(s, t, tuple(position), rule_id, sigma, KIND_MU)
-            # No root step reaches v, so v is u with one active argument rewritten.
-            args, goal = u.args, v.args
-            i = next(
-                i
-                for i in self._active_indices(u.sym)
-                if goal[i - 1] in memo[args[i - 1]][0]
-                and goal[: i - 1] == args[: i - 1]
-                and goal[i:] == args[i:]
-            )
-            position.append(i)
-            u, v = args[i - 1], goal[i - 1]
+        be one of its targets: the edge a search over targets takes."""
+        return memo_step(s, t, self._memo[s], KIND_MU)
 
     def _active_indices(self, sym: FunSym) -> tuple[int, ...]:
         """The active argument indices of ``sym``, ascending; a symbol with

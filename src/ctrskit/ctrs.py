@@ -18,21 +18,23 @@ complete when every step it took is; by induction on the level, such an
 answer is the same at every higher level (see ``_rule_solutions``).
 
 The engine keeps three memos per (term, level budget): rule solutions,
-reduct closures and one-step reducts.  A term's one-step reducts are its root
-steps followed by each argument's memoized reducts, lifted to the argument's
-position.  A result is stored only if the operation's work budget was not
-spent when it was complete, so no entry was cut short by the budget, and a
-later operation, with a fresh budget, recomputes what an earlier one could
-not finish.  A warm engine spends less on subproblems it has already solved,
-so it can finish where a fresh one runs out of budget.  Each memo is needed
-(measured on 150 systems from ``tests/test_checker.py``'s generator, each
-term up to size 3 under five fuels): without the reduct memo 38 of 27,000
-fresh-engine answers change, without the rule memo 79 of 27,000 warm-engine
-answers and the ``cond_simulation --seed 7`` benchmark digest change, and
-without the step memo that benchmark's passes take over four times as long.
-Whether a term holds a redex, all that a level-0 search asks, costs no
-budget and is not memoized.  The walks over a term's subterms keep explicit
-stacks; only condition searches nest, at most ``max_level`` deep.
+reduct closures and step entries.  Both engines memoize a term's steps as
+its entry ``(targets, roots, below)``: its distinct one-step targets in step
+order, its root redexes as (rule id, substitution, right-hand side instance,
+level), and ``(index, entry)`` for each argument, ascending, that has a
+target.  The steps are the root steps, then each such argument's steps at
+its position: a preorder walk, so positions come out sorted.
+:func:`memo_steps` rebuilds them and :func:`memo_step` the first to a given
+target; no memo holds a step below the root.  A result is stored only if the
+operation's work budget was not spent when it was complete, so a later
+operation, with a fresh budget, recomputes what an earlier one could not
+finish.  So an entry holds its arguments' entries, not their keys: one left
+unstored must still rebuild the steps above it.  A warm engine spends less
+on subproblems it has already solved, so it can finish where a fresh one
+runs out of budget.  Whether a term holds a redex, all that a level-0 search
+asks, costs no budget and is not memoized.  The walks over a term's subterms
+keep explicit stacks; only condition searches nest, at most ``max_level``
+deep.
 """
 
 from __future__ import annotations
@@ -302,27 +304,6 @@ class Reduction(Frozen):
         return " -> ".join(term_to_str(t) for t in self.terms())
 
 
-def lift_steps(s: App, i: int, steps: Sequence[ReductionStep]) -> list[ReductionStep]:
-    """The steps of argument ``i`` of ``s`` as steps of ``s``: each moves to
-    position ``(i,) + p`` and targets ``s`` with that argument rewritten;
-    rule, substitution, kind and level stay."""
-    if not steps:
-        return []
-    sym, before, after = s.sym, s.args[: i - 1], s.args[i:]
-    return [
-        ReductionStep(
-            s,
-            App(sym, before + (step.target,) + after),
-            (i,) + step.position,
-            step.rule_id,
-            step.subst,
-            step.kind,
-            step.level,
-        )
-        for step in steps
-    ]
-
-
 class StepSearch(NamedTuple):
     steps: tuple[ReductionStep, ...]
     exhausted: bool
@@ -335,6 +316,66 @@ class Reach(NamedTuple):
     @property
     def found(self) -> bool:
         return self.reduction is not None
+
+
+# -- step memo entries ------------------------------------------------------
+
+NORMAL_FORM: tuple = ((), (), ())  # the entry of every term without a step
+
+
+def memo_entry(t: App, roots: Sequence[tuple], below: Sequence[tuple[int, tuple]]) -> tuple:
+    """The entry of ``t`` with these root redexes and arguments' entries."""
+    if not roots and not below:
+        return NORMAL_FORM
+    out = [root[2] for root in roots]
+    sym, args = t.sym, t.args
+    for i, entry in below:
+        before, after = args[: i - 1], args[i:]
+        out += [App(sym, before + (u,) + after) for u in entry[0]]
+    return tuple(dict.fromkeys(out)), tuple(roots), tuple(below)
+
+
+def memo_steps(s: Term, entry: tuple, kind: str) -> tuple[ReductionStep, ...]:
+    """The steps of ``s``, rebuilt from its entry: a preorder walk down the
+    arguments' entries, with each root redex met replaced in ``s``."""
+    targets = entry[0]
+    if not targets:
+        return ()
+    found: list = []  # (position, root redex) of each step, in step order
+    todo = [(entry, ROOT)]
+    while todo:
+        (_, roots, below), p = todo.pop()
+        for root in roots:
+            found.append((p, root))
+        for i, e in reversed(below):
+            todo.append((e, p + (i,)))
+    # The entry's targets are the steps' own, in order, unless two share one.
+    if len(targets) < len(found):
+        targets = [replace_at(s, p, root[2]) for p, root in found]
+    return tuple([
+        ReductionStep(s, target, p, rule_id, sigma, kind, level)
+        for target, (p, (rule_id, sigma, _, level)) in zip(targets, found)
+    ])
+
+
+def memo_step(s: Term, t: Term, entry: tuple, kind: str) -> ReductionStep:
+    """The first step of ``s`` to ``t``, one of its entry's targets: the edge
+    a search over targets takes, found by one walk down the entries."""
+    position, u, v = [], s, t
+    while True:
+        _, roots, below = entry
+        for rule_id, sigma, rhs, level in roots:
+            if rhs == v:
+                return ReductionStep(s, t, tuple(position), rule_id, sigma, kind, level)
+        # No root step reaches v, so v is u with one argument rewritten.
+        args, goal = u.args, v.args
+        i, entry = next(
+            (i, e)
+            for i, e in below
+            if goal[i - 1] in e[0] and goal[: i - 1] == args[: i - 1] and goal[i:] == args[i:]
+        )
+        position.append(i)
+        u, v = args[i - 1], goal[i - 1]
 
 
 # -- the shared search primitives ------------------------------------------
@@ -498,8 +539,8 @@ class ConditionalEngine:
         self._rule_cache: dict[tuple, tuple[tuple[tuple[dict, int], ...], bool]] = {}
         # (term, budget) -> (reduct closure in BFS order, exhausted)
         self._reduct_cache: dict[tuple, tuple[tuple[Term, ...], bool]] = {}
-        # (term, budget) -> (one-step reducts in `_successors` order, exhausted)
-        self._step_cache: dict[tuple, tuple[tuple[ReductionStep, ...], bool]] = {}
+        # (term, budget) -> (step entry, exhausted)
+        self._step_cache: dict[tuple, tuple[tuple, bool]] = {}
         # max_steps is a global work budget per public operation; nested
         # condition-discharge searches would otherwise multiply their bounds.
         self._work = 0
@@ -611,67 +652,66 @@ class ConditionalEngine:
             self._reduct_cache[key] = result
         return result
 
-    def _search_edges(
-        self, steps: Sequence[ReductionStep], exhausted: bool
-    ) -> list[Optional[Term]]:
-        """Successors for :func:`bfs` from a term's ``steps``: a leading None
+    def _search_edges(self, entry: tuple, exhausted: bool) -> list[Optional[Term]]:
+        """Successors for :func:`bfs` from a term's step entry: a leading None
         when a condition search was cut short, then the targets within the
         term-size bound."""
         cut: list[Optional[Term]] = [None] if exhausted else []
-        return cut + within_size([step.target for step in steps], self.fuel.max_term_size)
+        return cut + within_size(entry[0], self.fuel.max_term_size)
 
-    def _successors(self, s: Term, budget: int) -> tuple[tuple[ReductionStep, ...], bool]:
-        """All one-step reducts of ``s`` at levels <= budget, deduplicated by
+    def _successors(self, s: Term, budget: int) -> tuple[tuple, bool]:
+        """The step entry of ``s`` at levels <= budget, and whether a
+        condition search was cut short.  Its steps are deduplicated by
         (target, position, rule) and ordered by position, rule id, target.
-
-        The root steps come first, then each argument's own (cached) steps
-        lifted in argument order: a preorder walk, so the order is that of
-        sorted positions.  Lifting is injective and keeps the order of
-        targets, so an argument's deduplicated, ordered steps stay so.
 
         The walk keeps a stack of open terms, not host recursion, and does
         what the recursive definition would, in the same order: a term's
-        root steps when it is entered, then its arguments left to right,
-        each looked up in the cache when its turn comes; a term's result is
+        root redexes when it is entered, then its arguments left to right,
+        each looked up in the cache when its turn comes; a term's entry is
         cached when it completes if the operation budget is not spent by
         then.  Since condition searches charge the shared budget, this order
-        decides what is found when the budget binds."""
+        decides what is found when the budget binds.  An entry holds its
+        arguments' entries, not their keys: an argument's entry left
+        uncached because the budget ran out still rebuilds the steps of the
+        terms above it."""
         key = (s, budget)
         cached = self._step_cache.get(key)
         if cached is not None:
             return cached
         if s.__class__ is Var:
-            return (), False
-        # Open terms: [term, steps so far, exhausted so far, arguments done].
-        stack = [[s, *self._root_steps(s, budget), 0]]
+            return NORMAL_FORM, False
+        # Open terms: [term, root redexes, exhausted so far, arguments done,
+        # (index, entry) of each argument done that has a target].
+        stack = [[s, *self._root_redexes(s, budget), 0, []]]
         while True:
             frame = stack[-1]
-            t, out, exhausted, i = frame
+            t, roots, exhausted, i, below = frame
             if i < len(t.args):
                 frame[3] = i = i + 1
                 arg = t.args[i - 1]
                 result = self._step_cache.get((arg, budget))
                 if result is None:
                     if arg.__class__ is not Var:
-                        stack.append([arg, *self._root_steps(arg, budget), 0])
+                        stack.append([arg, *self._root_redexes(arg, budget), 0, []])
                         continue
-                    result = (), False
+                    result = NORMAL_FORM, False
             else:
-                result = (tuple(out), exhausted)
+                result = (memo_entry(t, roots, below), exhausted)
                 if self._work <= self.fuel.max_steps:
                     self._step_cache[t, budget] = result
                 stack.pop()
                 if not stack:
                     return result
                 frame = stack[-1]
-                t, i = frame[0], frame[3]
-            frame[1] += lift_steps(t, i, result[0])
+                i = frame[3]
+            if result[0][0]:
+                frame[4].append((i, result[0]))
             frame[2] = frame[2] or result[1]
 
-    def _root_steps(self, s: App, budget: int) -> tuple[list[ReductionStep], bool]:
-        """The steps of ``s`` at the root, one per (target, rule), ordered by
-        rule id and target, and whether a condition search was cut short."""
-        root: dict[tuple, ReductionStep] = {}
+    def _root_redexes(self, s: App, budget: int) -> tuple[list[tuple], bool]:
+        """The root redexes of ``s`` for its entry, one per (target, rule),
+        ordered by rule id and target, and whether a condition search was cut short."""
+        root: dict[tuple, tuple] = {}
         exhausted = False
         for rule, guard in self._rules_at.get(s.sym, ()):
             if not admits(guard, s.args):
@@ -680,11 +720,8 @@ class ConditionalEngine:
             exhausted = exhausted or rule_exhausted
             for sigma, level in solutions:
                 target = apply_subst(rule.rhs, sigma)
-                if (target, rule.id) not in root:
-                    root[target, rule.id] = ReductionStep(
-                        s, target, ROOT, rule.id, sigma, KIND_CONDITIONAL, level
-                    )
-        return sorted(root.values(), key=lambda st: (st.rule_id, _term_key(st.target))), exhausted
+                root.setdefault((target, rule.id), (rule.id, sigma, target, level))
+        return sorted(root.values(), key=lambda r: (r[0], _term_key(r[2]))), exhausted
 
     # -- public operations -------------------------------------------------
 
@@ -696,25 +733,30 @@ class ConditionalEngine:
         self._work = 0
         return self._solve_conditions(rule.conditions[:upto], sigma, self.fuel.max_level)
 
+    def targets(self, s: Term) -> tuple[tuple[Term, ...], bool]:
+        """The distinct one-step reducts of ``s``, first occurrences in the
+        order of its steps, and whether a condition search was cut short."""
+        self._work = 0
+        entry, exhausted = self._successors(s, self.fuel.max_level)
+        return entry[0], exhausted
+
     def all_steps(self, s: Term) -> StepSearch:
         self._work = 0
-        steps, exhausted = self._successors(s, self.fuel.max_level)
-        return StepSearch(steps, exhausted)
+        entry, exhausted = self._successors(s, self.fuel.max_level)
+        return StepSearch(memo_steps(s, entry, KIND_CONDITIONAL), exhausted)
 
     def reachable(self, start: Term, goal: Term) -> Reach:
         """Breadth-first bounded search for ``start ->* goal``."""
         self._work = 0
         if start == goal:
             return Reach(Reduction(start), False)
-        expanded: dict[Term, tuple[ReductionStep, ...]] = {}
+        expanded: dict[Term, tuple] = {}  # term -> its step entry
 
         def successors(s: Term) -> list[Optional[Term]]:
             expanded[s], exhausted = self._successors(s, self.fuel.max_level)
             return self._search_edges(expanded[s], exhausted)
 
-        def step(u: Term, v: Term) -> ReductionStep:
-            return next(st for st in expanded[u] if st.target == v)
-
+        step = lambda u, v: memo_step(u, v, expanded[u], KIND_CONDITIONAL)
         search = bfs([start], successors, self._charge, goal, step)
         return Reach(search.path, search.exhausted)
 

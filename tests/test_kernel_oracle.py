@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 
 from conftest import SMALL_SIG, terms_over
 from test_checker import _random_dctrs
-from test_step_oracle import full
+from test_step_oracle import entry_of, full
 
 from ctrskit.csrewrite import enumerate_original_terms
-from ctrskit.ctrs import ConditionalEngine, Fuel, lift_steps, _term_key
+from ctrskit.ctrs import KIND_CONDITIONAL, ConditionalEngine, Fuel, ReductionStep, _term_key
 from ctrskit.terms import (
     App,
     FunSym,
@@ -83,17 +83,38 @@ def reference_term_key(t):
     return (1, t.sym.name, t.sym.arity) + tuple(reference_term_key(a) for a in t.args)
 
 
-def reference_successors(engine, s, budget):
-    """``ConditionalEngine._successors`` as a recursion through the engine."""
+def lift_steps(s, i, steps):
+    """The steps of argument ``i`` of ``s`` as steps of ``s``."""
+    return [
+        ReductionStep(
+            s,
+            App(s.sym, s.args[: i - 1] + (st.target,) + s.args[i:]),
+            (i,) + st.position,
+            st.rule_id,
+            st.subst,
+            st.kind,
+            st.level,
+        )
+        for st in steps
+    ]
+
+
+def reference_steps(engine, s, budget):
+    """The steps of ``ConditionalEngine._successors`` as a recursion through
+    the engine, which caches them where the engine caches its entries."""
     key = (s, budget)
     cached = engine._step_cache.get(key)
     if cached is not None:
         return cached
     if isinstance(s, Var):
         return (), False
-    out, exhausted = engine._root_steps(s, budget)
+    roots, exhausted = engine._root_redexes(s, budget)
+    out = [
+        ReductionStep(s, target, (), rule_id, sigma, KIND_CONDITIONAL, level)
+        for rule_id, sigma, target, level in roots
+    ]
     for i, arg in enumerate(s.args, start=1):
-        steps, arg_exhausted = engine._successors(arg, budget)
+        steps, arg_exhausted = reference_steps(engine, arg, budget)
         exhausted = exhausted or arg_exhausted
         out += lift_steps(s, i, steps)
     result = (tuple(out), exhausted)
@@ -111,7 +132,12 @@ def reference_has_syntactic_redex(engine, t):
 
 def recursive_engine(system, fuel):
     engine = ConditionalEngine(system, fuel)
-    engine._successors = lambda s, budget: reference_successors(engine, s, budget)
+
+    def successors(s, budget):
+        steps, exhausted = reference_steps(engine, s, budget)
+        return entry_of(s, steps), exhausted
+
+    engine._successors = successors
     engine._has_syntactic_redex = lambda t: reference_has_syntactic_redex(engine, t)
     return engine
 

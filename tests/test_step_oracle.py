@@ -42,6 +42,7 @@ from ctrskit.unravel import unravel, unravel_cs
 
 CORPUS_NAMES = sorted(p.stem for p in CORPUS.glob("*.ctrs"))
 FUEL = Fuel(max_level=4, max_steps=200, max_term_size=60)
+TIGHT = Fuel(max_level=4, max_steps=10, max_term_size=60)
 EXPLORE_FUEL = Fuel(max_steps=10, max_term_size=40)
 
 
@@ -94,7 +95,7 @@ def reference_engine(system, fuel):
                             s, target, p, rule.id, sigma, KIND_CONDITIONAL, level
                         )
         steps = sorted(out.values(), key=lambda st: (st.position, st.rule_id, _term_key(st.target)))
-        return tuple(steps), exhausted
+        return entry_of(s, steps), exhausted
 
     def has_syntactic_redex(t):
         return any(
@@ -107,6 +108,25 @@ def reference_engine(system, fuel):
     engine._successors = successors
     engine._has_syntactic_redex = has_syntactic_redex
     return engine
+
+
+def entry_of(s, steps):
+    """The step entry of ``s`` read off its steps, given in sorted position
+    order: the distinct targets, the root steps' redexes, and the entry of
+    each argument that has a step, from the steps below it."""
+    below = []
+    for i, arg in enumerate(s.args if isinstance(s, App) else (), start=1):
+        inner = [
+            ReductionStep(
+                arg, st.target.args[i - 1], st.position[1:], st.rule_id, st.subst, st.kind, st.level
+            )
+            for st in steps
+            if st.position[:1] == (i,)
+        ]
+        if inner:
+            below.append((i, entry_of(arg, inner)))
+    roots = tuple((st.rule_id, st.subst, st.target, st.level) for st in steps if not st.position)
+    return tuple(dict.fromkeys(st.target for st in steps)), roots, tuple(below)
 
 
 def full(steps):
@@ -185,6 +205,32 @@ def test_mu_engine_matches_each_rule_and_subject_once(monkeypatch):
     assert max(counts.values()) == 1
 
 
+@pytest.mark.parametrize("fuel", [FUEL, TIGHT], ids=["ample", "tight"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_conditional_certificates_take_the_first_step_to_each_target(fuel, seed):
+    # The conditional searches read only the memoized targets: the steps'
+    # targets, once each; a certificate's step to a target is the first step
+    # that has it.  A certificate found by a search that no bound cut took
+    # complete entries only, which a later all_steps rebuilds unchanged.
+    system = _random_dctrs(random.Random(seed))
+    terms = enumerate_original_terms(system.signature, 3)
+    engine = ConditionalEngine(system, fuel)
+    for t in terms:
+        targets, _ = ConditionalEngine(system, fuel).targets(t)
+        steps, _ = ConditionalEngine(system, fuel).all_steps(t)
+        assert targets == tuple(dict.fromkeys(s.target for s in steps))
+        for goal in targets + tuple(terms[:2]):
+            reach = engine.reachable(t, goal)
+            if reach.reduction is None or reach.exhausted:
+                continue
+            for step in reach.reduction.steps:
+                first = next(
+                    s for s in engine.all_steps(step.source).steps if s.target == step.target
+                )
+                assert full([step]) == full([first])
+
+
 # -- warm engines --------------------------------------------------------------
 
 
@@ -192,9 +238,7 @@ def found(reach):
     return None if reach.reduction is None else full(reach.reduction.steps)
 
 
-@pytest.mark.parametrize(
-    "fuel", [FUEL, Fuel(max_level=4, max_steps=10, max_term_size=60)], ids=["ample", "tight"]
-)
+@pytest.mark.parametrize("fuel", [FUEL, TIGHT], ids=["ample", "tight"])
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_warm_engine_answers_like_a_fresh_one(fuel, seed):
