@@ -338,24 +338,17 @@ def memo_entry(t: App, roots: Sequence[tuple], below: Sequence[tuple[int, tuple]
 def memo_steps(s: Term, entry: tuple, kind: str) -> tuple[ReductionStep, ...]:
     """The steps of ``s``, rebuilt from its entry: a preorder walk down the
     arguments' entries, with each root redex met replaced in ``s``."""
-    targets = entry[0]
-    if not targets:
+    if not entry[0]:
         return ()
-    found: list = []  # (position, root redex) of each step, in step order
+    steps = []
     todo = [(entry, ROOT)]
     while todo:
         (_, roots, below), p = todo.pop()
-        for root in roots:
-            found.append((p, root))
+        for rule_id, sigma, rhs, level in roots:
+            steps.append(ReductionStep(s, replace_at(s, p, rhs), p, rule_id, sigma, kind, level))
         for i, e in reversed(below):
             todo.append((e, p + (i,)))
-    # The entry's targets are the steps' own, in order, unless two share one.
-    if len(targets) < len(found):
-        targets = [replace_at(s, p, root[2]) for p, root in found]
-    return tuple([
-        ReductionStep(s, target, p, rule_id, sigma, kind, level)
-        for target, (p, (rule_id, sigma, _, level)) in zip(targets, found)
-    ])
+    return tuple(steps)
 
 
 def memo_step(s: Term, t: Term, entry: tuple, kind: str) -> ReductionStep:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import SMALL_SIG, terms_over
 from test_checker import _random_dctrs
-from test_step_oracle import entry_of, full
+from test_step_oracle import checked_entry_of, full
 
 from ctrskit.csrewrite import enumerate_original_terms
 from ctrskit.ctrs import KIND_CONDITIONAL, ConditionalEngine, Fuel, ReductionStep, _term_key
@@ -135,7 +135,7 @@ def recursive_engine(system, fuel):
 
     def successors(s, budget):
         steps, exhausted = reference_steps(engine, s, budget)
-        return entry_of(s, steps), exhausted
+        return checked_entry_of(s, steps), exhausted
 
     engine._successors = successors
     engine._has_syntactic_redex = lambda t: reference_has_syntactic_redex(engine, t)

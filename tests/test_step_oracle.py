@@ -26,6 +26,7 @@ from ctrskit.ctrs import (
     Fuel,
     ReductionStep,
     _term_key,
+    memo_steps,
     rules_by_root,
 )
 from ctrskit.terms import (
@@ -95,7 +96,7 @@ def reference_engine(system, fuel):
                             s, target, p, rule.id, sigma, KIND_CONDITIONAL, level
                         )
         steps = sorted(out.values(), key=lambda st: (st.position, st.rule_id, _term_key(st.target)))
-        return entry_of(s, steps), exhausted
+        return checked_entry_of(s, steps), exhausted
 
     def has_syntactic_redex(t):
         return any(
@@ -127,6 +128,14 @@ def entry_of(s, steps):
             below.append((i, entry_of(arg, inner)))
     roots = tuple((st.rule_id, st.subst, st.target, st.level) for st in steps if not st.position)
     return tuple(dict.fromkeys(st.target for st in steps)), roots, tuple(below)
+
+
+def checked_entry_of(s, steps):
+    """``entry_of(s, steps)``, checked to rebuild exactly ``steps``: the
+    engine's walker must turn the reference's entry back into its steps."""
+    entry = entry_of(s, steps)
+    assert full(memo_steps(s, entry, KIND_CONDITIONAL)) == full(steps)
+    return entry
 
 
 def full(steps):
