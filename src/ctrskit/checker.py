@@ -20,11 +20,13 @@ prover for quasi-decreasingness.
   takes its verdicts from this prover.
 
 Every bounded search here goes through the two primitives of
-:mod:`ctrskit.ctrs`: the breadth-first search ``bfs`` (simulating
-reductions and the witness-order graph) and the depth-first cycle finder
-``dfs`` (the well-foundedness obligation).  Per-source reachability in the
-finished witness-order graph needs no budget, goal or edge record, so it is
-a plain closure walk over the successor lists, in ``bfs``'s order.
+:mod:`ctrskit.ctrs`: the breadth-first search ``bfs``, which returns the
+graph it walked (the witness-order graph) and a node path to its goal, and
+the depth-first cycle finder ``dfs`` (the well-foundedness obligation).
+Simulations and waypoints are the loop search's ``mu_search`` with a goal:
+its node path becomes a simulation's certificate through ``reduction`` and
+gives a waypoint its length.  Per-source reachability in the finished graph
+needs no budget, so it is a plain closure walk, in ``bfs``'s order.
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ from .ctrs import (
     Reach,
     Reduction,
     ReductionStep,
-    Search,
     bfs,
     dfs,
     expansion_budget,
+    reduction,
     within_size,
 )
-from .csrewrite import MuEngine, enumerate_original_terms, mu_terminating_on_seeds
+from .csrewrite import MuEngine, enumerate_original_terms, mu_search, mu_terminating_on_seeds
 from .lpo import Precedence, SearchRefusedError, orients, search_precedence
 from .records import Record
 from .terms import (
@@ -76,17 +78,6 @@ class SimulationAlarm(Exception):
         super().__init__(f"no simulating reduction for {step} despite a saturated search")
 
 
-def _mu_search(engine: MuEngine, start: Term, goal: Term, fuel: Fuel) -> Search:
-    """Bounded search for a nonempty active-position reduction start ->+ goal."""
-    return bfs(
-        [start],
-        lambda t: within_size(engine.targets(t), fuel.max_term_size),
-        expansion_budget(fuel.max_steps),
-        goal,
-        engine.step,
-    )
-
-
 def check_simulation(
     step: ReductionStep,
     system: Csrs,
@@ -100,10 +91,11 @@ def check_simulation(
     or the engine is wrong.
     """
     eng = engine if engine is not None else MuEngine(system)
-    search = _mu_search(eng, step.source, step.target, fuel)
+    search = mu_search(eng, step.source, fuel, step.target)
     if search.path is None and not search.exhausted:
         raise SimulationAlarm(step)
-    return Reach(search.path, search.exhausted)
+    found = None if search.path is None else reduction(search.path, eng.step)
+    return Reach(found, search.exhausted)
 
 
 class CommutationError(Exception):
@@ -298,12 +290,11 @@ MAX_RULE_INSTANCES = 400
 
 def _combined_graph(
     seeds: Sequence[Term], fuel: Fuel, engine: MuEngine
-) -> tuple[list[Term], dict[Term, list[Term]], bool]:
+) -> tuple[dict[Term, Optional[Term]], dict[Term, list[Term]], bool]:
     """Reachable fragment of "one rewrite step or one active-child step":
     its nodes in BFS order, the successor lists of the expanded nodes, and
     whether a bound cut it short.  A node too large to rewrite still gets its
     active-child edges."""
-    succ: dict[Term, list[Term]] = {}
 
     def successors(t: Term) -> list[Optional[Term]]:
         out: list[Optional[Term]] = [None]  # too large to rewrite
@@ -311,12 +302,11 @@ def _combined_graph(
             out = within_size(engine.targets(t), fuel.max_term_size)
         if isinstance(t, App) and t.args:
             out += [t.args[i - 1] for i in engine._active_indices(t.sym)]
-        succ[t] = [u for u in out if u is not None]
         return out
 
     cap = min(MAX_GRAPH_EXPANSIONS, fuel.max_steps * max(1, len(seeds)))
     search = bfs(seeds, successors, expansion_budget(cap))
-    return list(search.reached), succ, search.exhausted
+    return search.reached, search.succ, search.exhausted
 
 
 def _closure(starts: Sequence[Term], succ: dict[Term, list[Term]]) -> dict[Term, None]:
@@ -462,7 +452,7 @@ def validate_witness_order(
                     ob4.checked += 1
                     waypoint = apply_subst(generated[i].rhs, sigma)
                     next_source = apply_subst(rule.conditions[i][0], sigma)
-                    search = _mu_search(mu_engine, source, waypoint, fuel)
+                    search = mu_search(mu_engine, source, fuel, waypoint)
                     incomplete = incomplete or search.exhausted
                     if search.path is None:
                         failure = f"{term_to_str(source)} cannot reach {term_to_str(waypoint)}"
@@ -472,7 +462,7 @@ def validate_witness_order(
                     chain_instances.append({
                         "rule": rule.id, "condition_index": i + 1, "lhs_instance": source,
                         "waypoint": waypoint, "condition_source_instance": next_source,
-                        "reduction_length": len(search.path),
+                        "reduction_length": len(search.path) - 1,
                     })
 
     return WitnessOrderReport(

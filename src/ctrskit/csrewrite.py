@@ -46,7 +46,6 @@ from .terms import (
     apply_subst,
     is_original,
     match,
-    term_size,
     term_to_str,
 )
 from .unravel import Csrs
@@ -149,8 +148,9 @@ class MuEngine:
         return memo_steps(s, self._memo[s], KIND_MU)
 
     def step(self, s: Term, t: Term) -> ReductionStep:
-        """The first of the steps of ``s`` whose target is ``t``, which must
-        be one of its targets: the edge a search over targets takes."""
+        """The first of the steps of ``s`` whose target is ``t``, the edge a
+        search over targets takes; ValueError if ``t`` is not a target."""
+        self.targets(s)
         return memo_step(s, t, self._memo[s], KIND_MU)
 
     def _active_indices(self, sym: FunSym) -> tuple[int, ...]:
@@ -167,26 +167,28 @@ class ReductionGraph(Record):
     _defaults = {"nodes": list, "edges": list, "depth": dict, "complete": True}
 
 
-def _loop_search(
-    s: Term, eng: MuEngine, fuel: Fuel
-) -> tuple[Search, dict[Term, list[Term]], MuVerdict]:
-    """Breadth-first expansion of the reducts of ``s``, then one depth-first
-    walk for a loop or, failing that, the longest path.  Returns the search,
-    the expanded nodes' successors within the size bound, and the verdict."""
-    succ: dict[Term, list[Term]] = {}
+def mu_search(engine: MuEngine, start: Term, fuel: Fuel, goal: Optional[Term] = None) -> Search:
+    """The bounded :func:`~ctrskit.ctrs.bfs` of the reducts of ``start``
+    within the size bound, for a nonempty path to ``goal`` if one is given."""
+    return bfs(
+        [start],
+        lambda t: within_size(engine.targets(t), fuel.max_term_size),
+        expansion_budget(fuel.max_steps),
+        goal,
+    )
 
-    def successors(t: Term) -> list[Optional[Term]]:
-        out = within_size(eng.targets(t), fuel.max_term_size)
-        succ[t] = out if None not in out else [u for u in out if u is not None]
-        return out
 
-    search = bfs([s], successors, expansion_budget(fuel.max_steps))
-    walk = dfs([s], succ)
+def _loop_search(s: Term, eng: MuEngine, fuel: Fuel) -> tuple[Search, MuVerdict]:
+    """:func:`mu_search` from ``s``, then one depth-first walk over its graph,
+    ``search.succ``, for a loop, whose node path becomes the witness, or
+    failing that the longest path.  Returns the search and the verdict."""
+    search = mu_search(eng, s, fuel)
+    walk = dfs([s], search.succ)
     if walk.path is not None:
-        return search, succ, MuVerdict.loop_found(reduction(walk.path, eng.step))
+        return search, MuVerdict.loop_found(reduction(walk.path, eng.step))
     if search.exhausted:
-        return search, succ, MuVerdict.unknown(fuel)
-    return search, succ, MuVerdict.terminates_within(walk.heights[s])
+        return search, MuVerdict.unknown(fuel)
+    return search, MuVerdict.terminates_within(walk.heights[s])
 
 
 def explore(
@@ -195,15 +197,15 @@ def explore(
     fuel: Fuel = DEFAULT_FUEL,
     engine: Optional[MuEngine] = None,
 ) -> tuple[ReductionGraph, MuVerdict]:
-    """The loop search from ``s`` with its graph: every reached term, its
-    breadth-first depth, and each expanded term's steps within the size
-    bound, in expansion order."""
+    """The loop search from ``s`` with the graph it walked: every reached
+    term, its breadth-first depth, and each expanded term's steps to its
+    successors within the size bound (``search.succ``), in expansion order."""
     eng = engine if engine is not None else MuEngine(system)
-    search, succ, verdict = _loop_search(s, eng, fuel)
+    search, verdict = _loop_search(s, eng, fuel)
     depth: dict[Term, int] = {}
     for t, parent in search.reached.items():
         depth[t] = 0 if parent is None else depth[parent] + 1
-    edges = [st for t in succ for st in eng.steps(t) if term_size(st.target) <= fuel.max_term_size]
+    edges = [st for t, kept in search.succ.items() for st in eng.steps(t) if st.target in kept]
     return ReductionGraph(s, list(search.reached), edges, depth, not search.exhausted), verdict
 
 
@@ -225,7 +227,7 @@ def mu_terminating_on_seeds(
     for seed in seeds:
         if not eng.targets(seed):
             continue
-        verdict = _loop_search(seed, eng, fuel)[2]
+        verdict = _loop_search(seed, eng, fuel)[1]
         if verdict.is_loop:
             return verdict
         if verdict.outcome == "unknown":

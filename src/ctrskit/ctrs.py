@@ -353,9 +353,12 @@ def memo_steps(s: Term, entry: tuple, kind: str) -> tuple[ReductionStep, ...]:
 
 def memo_step(s: Term, t: Term, entry: tuple, kind: str) -> ReductionStep:
     """The first step of ``s`` to ``t``, one of its entry's targets: the edge
-    a search over targets takes, found by one walk down the entries."""
+    a search over targets takes, found by one walk down the entries.  Raises
+    :class:`ValueError` when ``t`` is not one of them."""
+    if t not in entry[0]:
+        raise ValueError(f"{term_to_str(t)} is not a one-step reduct of {term_to_str(s)}")
     position, u, v = [], s, t
-    while True:
+    while True:  # v is a target of u, and entry is the entry of u
         _, roots, below = entry
         for rule_id, sigma, rhs, level in roots:
             if rhs == v:
@@ -387,8 +390,8 @@ def within_size(terms: Iterable[Term], max_term_size: int) -> list[Optional[Term
 
 
 def reduction(terms: Sequence[Term], step: Callable[[Term, Term], ReductionStep]) -> Reduction:
-    """The reduction through ``terms``, with ``step(u, v)`` from each term
-    to the next."""
+    """The reduction through the node path ``terms``, with ``step(u, v)``
+    from each term to the next: the one builder of certificates."""
     return Reduction(terms[0], tuple(map(step, terms, terms[1:])))
 
 
@@ -396,47 +399,52 @@ class Search(NamedTuple):
     # Every discovered node in BFS order, the starts first, mapped to the
     # node that discovered it (None for a start).
     reached: dict
-    path: Optional[Reduction]  # a nonempty path to the goal, when one was found
+    succ: dict  # each expanded node -> its kept successors, in expansion order
+    path: Optional[list]  # the nodes from a start to the goal, when it was found
     exhausted: bool
 
 
 def bfs(
     starts: Iterable[Any],
-    successors: Callable[[Any], Iterable[Any]],
+    successors: Callable[[Any], Sequence[Any]],
     charge: Callable[[], bool],
     goal: Optional[Term] = None,
-    step: Optional[Callable[[Term, Term], ReductionStep]] = None,
 ) -> Search:
-    """The bounded breadth-first search behind every search in the toolkit.
+    """The bounded breadth-first search behind every search in the toolkit;
+    it returns the graph it walked.
 
-    ``successors(node)`` yields the node's successors in order, with None in
-    place of each one the caller dropped or could not compute (term-size
+    ``successors(node)`` returns the node's successors in order, with None
+    in place of each one the caller dropped or could not compute (term-size
     filters belong to callers); a None makes the search exhausted from that
     point on.  ``charge()`` runs before each expansion; once it returns
-    False the search stops, exhausted.  ``goal`` is tested on every kept
-    successor before the seen-check, so a goal equal to a start needs a
-    nonempty cycle back to it.  The path to it is the :func:`reduction`
-    through the nodes that discovered each other, with ``step``.
+    False the search stops, exhausted, and the nodes it did not expand get
+    no ``succ`` entry.  ``goal`` is tested on every kept successor before
+    the seen-check, so a goal equal to a start needs a nonempty cycle back
+    to it.  ``path`` lists the nodes that discovered each other, from a
+    start through the goal; :func:`reduction` turns it into a certificate.
     """
     reached: dict = dict.fromkeys(starts)
+    succ: dict = {}
     queue = list(reached)
     exhausted = False
     for current in queue:  # grows while it is walked
         if not charge():
-            return Search(reached, None, True)
-        for nxt in successors(current):
+            return Search(reached, succ, None, True)
+        out = successors(current)
+        succ[current] = out if None not in out else [u for u in out if u is not None]
+        for nxt in out:
             if nxt is None:
                 exhausted = True
                 continue
             if goal is not None and nxt == goal:
-                chain = [goal, current]
-                while reached[chain[-1]] is not None:
-                    chain.append(reached[chain[-1]])
-                return Search(reached, reduction(chain[::-1], step), exhausted)
+                path = [goal, current]
+                while reached[path[-1]] is not None:
+                    path.append(reached[path[-1]])
+                return Search(reached, succ, path[::-1], exhausted)
             if nxt not in reached:
                 reached[nxt] = current
                 queue.append(nxt)
-    return Search(reached, None, exhausted)
+    return Search(reached, succ, None, exhausted)
 
 
 _ON_PATH = -1
@@ -743,15 +751,16 @@ class ConditionalEngine:
         self._work = 0
         if start == goal:
             return Reach(Reduction(start), False)
-        expanded: dict[Term, tuple] = {}  # term -> its step entry
+        expanded: dict[Term, tuple] = {}  # term -> its step entry, for memo_step
 
         def successors(s: Term) -> list[Optional[Term]]:
             expanded[s], exhausted = self._successors(s, self.fuel.max_level)
             return self._search_edges(expanded[s], exhausted)
 
+        search = bfs([start], successors, self._charge, goal)
         step = lambda u, v: memo_step(u, v, expanded[u], KIND_CONDITIONAL)
-        search = bfs([start], successors, self._charge, goal, step)
-        return Reach(search.path, search.exhausted)
+        found = None if search.path is None else reduction(search.path, step)
+        return Reach(found, search.exhausted)
 
 
 def _term_key(t: Term) -> tuple:

@@ -25,16 +25,14 @@ FORMAT_VERSION = 1
 
 
 def step_dict(step: ReductionStep) -> dict:
-    out = {
+    """A step of a loop witness: a mu-step, which has no level."""
+    return {
         "source": term_to_str(step.source),
         "target": term_to_str(step.target),
         "position": format_position(step.position),
         "rule": step.rule_id,
         "kind": step.kind,
     }
-    if step.level is not None:
-        out["level"] = step.level
-    return out
 
 
 def reduction_dict(reduction: Reduction) -> dict:

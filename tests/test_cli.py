@@ -377,14 +377,14 @@ def test_simulate_on_an_unraveled_file_is_an_input_error(tmp_path, capsys):
     assert captured.out == ""
 
 
-def _saturated_without_a_path(engine, start, goal, fuel):
-    return Search({start: None}, None, False)
+def _saturated_without_a_path(engine, start, fuel, goal=None):
+    return Search({start: None}, {start: []}, None, False)
 
 
 def test_simulate_alarm_exits_1(monkeypatch, capsys):
     # A simulation search that saturates without a reduction contradicts
     # simulation completeness: an alarm on stderr, never a bounded answer.
-    monkeypatch.setattr(checker, "_mu_search", _saturated_without_a_path)
+    monkeypatch.setattr(checker, "mu_search", _saturated_without_a_path)
     assert cli_main(["simulate", corpus("bubble_sort"), "-s", ":(0,:(s(0),nil))"]) == 1
     out, err = capsys.readouterr()
     step = ":(0,:(s(0),nil)) -> :(s(0),:(0,nil)) [r4 @ e]"
@@ -406,7 +406,7 @@ def test_simulate_cut_search_exits_2(tmp_path, capsys):
 
 
 def test_check_witness_alarm_fails_obligation_3(monkeypatch, capsys):
-    monkeypatch.setattr(checker, "_mu_search", _saturated_without_a_path)
+    monkeypatch.setattr(checker, "mu_search", _saturated_without_a_path)
     assert cli_main(["check-witness", corpus("bubble_sort"), "--seeds-size", "3"]) == 1
     lines = capsys.readouterr().out.splitlines()
     ob3 = lines.index(next(line for line in lines if line.startswith("(3) ")))

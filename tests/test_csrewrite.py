@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -15,7 +16,7 @@ from ctrskit.csrewrite import (
     explore,
     mu_terminating_on_seeds,
 )
-from ctrskit.ctrs import Fuel
+from ctrskit.ctrs import Fuel, reduction
 from ctrskit.terms import (
     App,
     FunSym,
@@ -273,3 +274,25 @@ def test_commutation_property_sampled(bubble):
         if checked > 200:
             break
     assert checked > 100
+
+
+def test_step_fills_the_memo_and_rejects_a_non_reduct():
+    cs = unravel_cs(load_system("even_odd"))
+    t = lambda text: term_of("even_odd", text)
+    # A term the engine never stepped gets its step: step fills the memo.
+    found = reduction([t("odd(0)"), t("false")], MuEngine(cs).step)
+    assert [str(s) for s in found.steps] == ["odd(0) -> false [r3 @ e]"]
+    # A term that is not a one-step reduct raises instead of ending the
+    # certificate early, also when its head differs but an argument's
+    # reduct matches, and when the engine has the source in its memo.
+    engine = MuEngine(cs)
+    for source, target in [
+        ("even(s(s(0)))", "odd(0)"),
+        ("even(odd(s(0)))", "odd(even(0))"),
+        ("true", "false"),
+    ]:
+        for _ in range(2):
+            message = f"{target} is not a one-step reduct of {source}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                reduction([t(source), t(target)], engine.step)
+            engine.targets(t(source))

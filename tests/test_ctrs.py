@@ -14,6 +14,8 @@ from ctrskit.ctrs import (
     ConditionalEngine,
     ConditionalRule,
     Fuel,
+    bfs,
+    expansion_budget,
     guarded_rules_by_root,
     rules_by_root,
     validate_dctrs,
@@ -208,6 +210,40 @@ def test_reachable_ignores_oversized_steps_after_the_goal():
     found, exhausted = ConditionalEngine(system, Fuel(4, 200, 3)).reachable(a, b)
     assert found is not None and len(found) == 1
     assert not exhausted
+
+
+def test_bfs_records_the_kept_successors_of_expanded_nodes_only():
+    graph = {0: [1, None, 2, 1], 1: [3], 2: [None], 3: []}
+    search = bfs([0], graph.__getitem__, expansion_budget(10))
+    assert search.reached == {0: None, 1: 0, 2: 0, 3: 1}
+    assert search.succ == {0: [1, 2, 1], 1: [3], 2: [], 3: []}
+    assert list(search.succ) == [0, 1, 2, 3]  # expansion order
+    assert search.path is None and search.exhausted
+    # Stopped by its budget after two expansions: 2 and 3 were reached but
+    # never expanded, so they have no successor list.
+    cut = bfs([0], graph.__getitem__, expansion_budget(2))
+    assert cut.reached == {0: None, 1: 0, 2: 0, 3: 1}
+    assert cut.succ == {0: [1, 2, 1], 1: [3]}
+    assert cut.exhausted
+
+
+def test_bfs_path_runs_from_a_start_to_the_goal():
+    chain = {0: [1], 1: [2], 2: [3], 3: [], 5: [0]}
+    assert bfs([0], chain.__getitem__, expansion_budget(10), 3).path == [0, 1, 2, 3]
+    assert bfs([5, 1], chain.__getitem__, expansion_budget(10), 3).path == [1, 2, 3]
+    # A goal equal to the start needs a nonempty cycle back to it.
+    assert bfs([0], chain.__getitem__, expansion_budget(10), 0).path is None
+    cycle = {0: [1], 1: [0]}
+    assert bfs([0], cycle.__getitem__, expansion_budget(10), 0).path == [0, 1, 0]
+
+
+def test_bfs_stops_at_the_goal_before_a_later_none():
+    search = bfs([0], {0: [1, None]}.__getitem__, expansion_budget(10), 1)
+    assert search.path == [0, 1]
+    assert not search.exhausted
+    search = bfs([0], {0: [None, 1]}.__getitem__, expansion_budget(10), 1)
+    assert search.path == [0, 1]
+    assert search.exhausted
 
 
 def test_level_monotonicity(bubble):
