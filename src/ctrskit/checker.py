@@ -24,9 +24,11 @@ Every bounded search here goes through the two primitives of
 graph it walked (the witness-order graph) and a node path to its goal, and
 the depth-first cycle finder ``dfs`` (the well-foundedness obligation).
 Simulations and waypoints are the loop search's ``mu_search`` with a goal:
-its node path becomes a simulation's certificate through ``reduction`` and
-gives a waypoint its length.  Per-source reachability in the finished graph
-needs no budget, so it is a plain closure walk, in ``bfs``'s order.
+``check_simulation`` turns its node path into a certificate through
+``reduction``; the witness check asks only whether a path exists, so it
+builds no steps, and a waypoint's path gives its length.  Per-source
+reachability in the finished graph needs no budget, so it is a plain
+closure walk, in ``bfs``'s order.
 """
 
 from __future__ import annotations
@@ -301,7 +303,7 @@ def _combined_graph(
         if term_size(t) <= fuel.max_term_size:
             out = within_size(engine.targets(t), fuel.max_term_size)
         if isinstance(t, App) and t.args:
-            out += [t.args[i - 1] for i in engine._active_indices(t.sym)]
+            out += [t.args[i - 1] for i in engine._symbol(t.sym)[0]]
         return out
 
     cap = min(MAX_GRAPH_EXPANSIONS, fuel.max_steps * max(1, len(seeds)))
@@ -417,13 +419,13 @@ def validate_witness_order(
         incomplete = incomplete or exhausted
         for step in steps[:MAX_STEPS_PER_SOURCE]:
             ob3.checked += 1
-            try:
-                if check_simulation(step, cs, fuel, engine=mu_engine).found:
-                    sampled_pairs.append((step.source, step.target))
-                else:  # not found within bounds: the search was cut
-                    incomplete = True
-            except SimulationAlarm as alarm:  # the search saturated without one
-                ob3.refute(str(alarm))
+            search = mu_search(mu_engine, step.source, fuel, step.target)
+            if search.path is not None:
+                sampled_pairs.append((step.source, step.target))
+            elif search.exhausted:  # not found within bounds: the search was cut
+                incomplete = True
+            else:  # the search saturated without one
+                ob3.refute(str(SimulationAlarm(step)))
 
     # Obligation 4: from each instantiated left-hand side, the order reaches
     # the next condition source once the earlier conditions hold: the waypoint

@@ -6,6 +6,9 @@ seed's reducts, deduplicated so that a reduct shared by many paths is
 expanded once, then one depth-first walk.  A verdict is one of: the graph
 was fully expanded and acyclic (terminates within the reported depth), a
 term repeats along a path (loop witness), or fuel ran out first (unknown).
+Over many seeds, every term a terminating search reached is settled with
+its height, and a seed whose reducts are all settled is answered from
+their heights without a search of its own.
 
 A :class:`MuEngine` keeps one memo of every term it meets, subterms
 included: its step entry (see :mod:`ctrskit.ctrs`), which depends on the
@@ -27,6 +30,7 @@ from .ctrs import (
     Reduction,
     ReductionStep,
     Search,
+    Walk,
     bfs,
     dfs,
     expansion_budget,
@@ -46,6 +50,7 @@ from .terms import (
     apply_subst,
     is_original,
     match,
+    term_size,
     term_to_str,
 )
 from .unravel import Csrs
@@ -100,7 +105,7 @@ class MuEngine:
     def __init__(self, system: Csrs):
         self.system = system
         self._rules_at = guarded_rules_by_root(system.rules)
-        self._active = {sym: tuple(sorted(ix)) for sym, ix in system.mu.entries.items()}
+        self._at: dict[FunSym, tuple] = {}  # sym -> its _symbol pair
         self._memo: dict[Term, tuple] = {}  # term -> its step entry
 
     def targets(self, s: Term) -> tuple[Term, ...]:
@@ -120,24 +125,26 @@ class MuEngine:
                 continue
             entry = NORMAL_FORM
             if t.__class__ is App:
-                args = t.args
-                active = self._active_indices(t.sym) if args else ()
-                missing = [args[i - 1] for i in active if args[i - 1] not in memo]
+                sym, args = t.sym, t.args
+                active, rules = self._at.get(sym) or self._symbol(sym)
+                missing, below = [], []
+                for i in active:
+                    e = memo.get(args[i - 1])
+                    if e is None:
+                        missing.append(args[i - 1])
+                    elif e[0]:
+                        below.append((i, e))
                 if missing:
                     todo += missing
                     continue
                 redexes = []
-                for rule, guard in self._rules_at.get(t.sym, ()):
+                for rule, guard in rules:
                     if admits(guard, args):
                         sigma = match(rule.lhs, t)
                         if sigma is not None:
                             redexes.append((rule.id, sigma, apply_subst(rule.rhs, sigma), None))
-                below = []
-                for i in active:
-                    e = memo[args[i - 1]]
-                    if e[0]:
-                        below.append((i, e))
-                entry = memo_entry(t, redexes, below)
+                if redexes or below:
+                    entry = memo_entry(t, redexes, below)
             memo[t] = entry
             todo.pop()
         return memo[s][0]
@@ -153,11 +160,15 @@ class MuEngine:
         self.targets(s)
         return memo_step(s, t, self._memo[s], KIND_MU)
 
-    def _active_indices(self, sym: FunSym) -> tuple[int, ...]:
-        """The active argument indices of ``sym``, ascending; a symbol with
-        no entry raises :class:`MissingReplacementError`."""
-        indices = self._active.get(sym)
-        return indices if indices is not None else self.system.mu.active_indices(sym)
+    def _symbol(self, sym: FunSym) -> tuple[tuple[int, ...], tuple]:
+        """The active argument indices of ``sym``, ascending, and its guarded
+        rules, looked up once per symbol; a symbol of positive arity with no
+        replacement entry raises :class:`MissingReplacementError`."""
+        at = self._at.get(sym)
+        if at is None:
+            active = tuple(sorted(self.system.mu.active_indices(sym))) if sym.arity else ()
+            at = self._at[sym] = active, self._rules_at.get(sym, ())
+        return at
 
 
 class ReductionGraph(Record):
@@ -178,17 +189,18 @@ def mu_search(engine: MuEngine, start: Term, fuel: Fuel, goal: Optional[Term] = 
     )
 
 
-def _loop_search(s: Term, eng: MuEngine, fuel: Fuel) -> tuple[Search, MuVerdict]:
+def _loop_search(s: Term, eng: MuEngine, fuel: Fuel) -> tuple[Search, Walk, MuVerdict]:
     """:func:`mu_search` from ``s``, then one depth-first walk over its graph,
     ``search.succ``, for a loop, whose node path becomes the witness, or
-    failing that the longest path.  Returns the search and the verdict."""
+    failing that the longest path.  Returns the search, the walk (with every
+    reached term's height when the verdict is termination) and the verdict."""
     search = mu_search(eng, s, fuel)
     walk = dfs([s], search.succ)
     if walk.path is not None:
-        return search, MuVerdict.loop_found(reduction(walk.path, eng.step))
+        return search, walk, MuVerdict.loop_found(reduction(walk.path, eng.step))
     if search.exhausted:
-        return search, MuVerdict.unknown(fuel)
-    return search, MuVerdict.terminates_within(walk.heights[s])
+        return search, walk, MuVerdict.unknown(fuel)
+    return search, walk, MuVerdict.terminates_within(walk.heights[s])
 
 
 def explore(
@@ -201,7 +213,7 @@ def explore(
     term, its breadth-first depth, and each expanded term's steps to its
     successors within the size bound (``search.succ``), in expansion order."""
     eng = engine if engine is not None else MuEngine(system)
-    search, verdict = _loop_search(s, eng, fuel)
+    search, _, verdict = _loop_search(s, eng, fuel)
     depth: dict[Term, int] = {}
     for t, parent in search.reached.items():
         depth[t] = 0 if parent is None else depth[parent] + 1
@@ -216,25 +228,57 @@ def mu_terminating_on_seeds(
 ) -> MuVerdict:
     """The loop search of :func:`explore` from each seed in turn, on one
     engine: a loop anywhere dominates, then fuel exhaustion, then
-    termination with the maximal depth.  A normal-form seed is answered at
-    once, with depth 0."""
+    termination with the maximal depth.  A terminating search settles every
+    term it reached: its height, with the search's size as a bound on the
+    expansions a search from it needs.  A seed that :func:`_settle` answers
+    from its reducts needs no search."""
     for seed in seeds:
         if not is_original(seed):
             raise ValueError(f"seed {term_to_str(seed)} contains unraveling symbols")
     eng = MuEngine(system)
+    settled: dict[Term, tuple[int, int]] = {}  # term -> (height, bound on its reach)
     max_depth = 0
     unknown: Optional[MuVerdict] = None
     for seed in seeds:
-        if not eng.targets(seed):
-            continue
-        verdict = _loop_search(seed, eng, fuel)[1]
-        if verdict.is_loop:
-            return verdict
-        if verdict.outcome == "unknown":
-            unknown = verdict
-        else:
-            max_depth = max(max_depth, verdict.bound)
+        known = settled.get(seed) or _settle(seed, eng, fuel, settled)
+        if known is None:
+            search, walk, verdict = _loop_search(seed, eng, fuel)
+            if verdict.is_loop:
+                return verdict
+            if verdict.outcome == "unknown":
+                unknown = verdict
+                continue
+            for t, height in walk.heights.items():
+                settled.setdefault(t, (height, len(search.reached)))
+            known = settled[seed]
+        max_depth = max(max_depth, known[0])
     return unknown or MuVerdict.terminates_within(max_depth)
+
+
+def _settle(
+    s: Term, eng: MuEngine, fuel: Fuel, settled: dict[Term, tuple[int, int]]
+) -> Optional[tuple[int, int]]:
+    """Settle ``s`` from its reducts, as its loop search would: each must be
+    within the size bound (checked first, as a start is settled at any
+    size) and settled or a normal form, and one plus their bounds within
+    ``max_steps``.  The search's graph is then theirs under ``s``: complete,
+    acyclic, with no oversize term, since a settled term's graph holds only
+    settled terms.  Returns the (height, bound) recorded for ``s``, or None."""
+    height, bound = 0, 1
+    for r in eng.targets(s):
+        if term_size(r) > fuel.max_term_size:
+            return None
+        known = settled.get(r)
+        if known is None:
+            if eng.targets(r):
+                return None
+            known = (0, 1)
+        height = max(height, known[0] + 1)
+        bound += known[1]
+    if bound > fuel.max_steps:
+        return None
+    settled[s] = (height, bound)
+    return height, bound
 
 
 def enumerate_original_terms(signature: Sequence[FunSym], max_size: int) -> list[Term]:

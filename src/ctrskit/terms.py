@@ -10,8 +10,8 @@ table is a plain dict from ``(sym, args)`` to a weak reference to the node
 that also holds its key (weak hash-consing: Filliâtre & Conchon, ML Workshop
 2006), so terms nobody references are freed.  When a node dies, the
 reference's callback deletes its entry with ``_weakref._remove_dead_weakref``,
-which does so atomically and only while the entry is still dead; it takes no
-lock, since a collection inside the intern lock's section can run it.  An
+which does so atomically and only while the entry is still dead, and a new
+node is registered with one ``dict.setdefault``, so the table needs no lock.  An
 application computes its size and whether it is original (free of
 unraveling symbols) once, at construction, from the same attributes of its
 arguments.  Function symbols are interned too, in a weak table keyed by
@@ -139,12 +139,13 @@ class App:
     Applications are interned: constructing one that equals a live
     application returns that object, so equality and hashing are by
     identity.  A hit is a ``dict.get`` and a call of the stored weak
-    reference, without the lock; a miss takes the lock, checks again and
-    registers the node.  When the node dies, ``_forget`` drops its entry
-    with an atomic C helper instead of under the lock, since a collection
-    inside the locked section can run it.  The node count and the original
-    flag are computed once, from the arguments' cached values.  Nodes are
-    immutable.
+    reference.  A miss builds the node and registers it with one
+    ``dict.setdefault``, which keeps an entry already there, so no lock is
+    taken: every change to the table is one atomic operation.  When the
+    node dies, ``_forget`` drops its entry with an atomic C helper, which a
+    miss also uses on a dead entry whose callback has not run yet.  The
+    node count and the original flag are computed once, from the
+    arguments' cached values.  Nodes are immutable.
     """
 
     __slots__ = ("sym", "args", "_size", "_original", "__weakref__")
@@ -158,35 +159,34 @@ class App:
             node = ref()
             if node is not None:
                 return node
-        # Lookup, build and register must be one step: two equal but distinct
-        # nodes would break non-linear matching and loop detection.  A dead
-        # reference whose callback has not run yet is overwritten.
-        with _intern_lock:
-            ref = _interned.get(key)
-            if ref is not None:
-                node = ref()
-                if node is not None:
-                    return node
-            if len(args) != sym.arity:
-                raise ValueError(
-                    f"{sym.name} has arity {sym.arity}, got {len(args)} arguments"
-                )
-            size, original = 1, not sym.is_usymbol
-            for arg in args:
-                if arg.__class__ is App:
-                    size += arg._size
-                    original = original and arg._original
-                else:
-                    size += 1
-            node = object.__new__(cls)
-            object.__setattr__(node, "sym", sym)
-            object.__setattr__(node, "args", args)
-            object.__setattr__(node, "_size", size)
-            object.__setattr__(node, "_original", original)
-            ref = _Entry(node, _forget)
-            ref.key = key
-            _interned[key] = ref
-            return node
+        if len(args) != sym.arity:
+            raise ValueError(f"{sym.name} has arity {sym.arity}, got {len(args)} arguments")
+        size, original = 1, not sym.is_usymbol
+        for arg in args:
+            if arg.__class__ is App:
+                size += arg._size
+                original = original and arg._original
+            else:
+                size += 1
+        node = object.__new__(cls)
+        _set_sym(node, sym)
+        _set_args(node, args)
+        _set_size(node, size)
+        _set_original(node, original)
+        ref = _Entry(node, _forget)
+        ref.key = key
+        # A node is registered only where its key is free, by one atomic
+        # setdefault: two equal live nodes would break non-linear matching and
+        # loop detection.  A dead entry whose callback has not run yet is
+        # dropped as ``_forget`` drops it, and the registration retried.
+        while True:
+            held = _interned.setdefault(key, ref)
+            if held is ref:
+                return node
+            live = held()
+            if live is not None:
+                return live
+            _remove_dead_weakref(_interned, key)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"App is immutable; cannot set {name!r}")
@@ -206,6 +206,12 @@ class App:
         return term_to_str(self)
 
 
+# The slots' setters, which bypass App.__setattr__, bound once.
+_set_sym, _set_args, _set_size, _set_original = (
+    App.__dict__[name].__set__ for name in ("sym", "args", "_size", "_original")
+)
+
+
 class _Entry(weakref.ref):
     """A weak reference to an interned application that records its key."""
 
@@ -215,10 +221,8 @@ class _Entry(weakref.ref):
 def _forget(ref: _Entry) -> None:
     """Drop the table entry of a dead application.
 
-    A collection triggered inside ``App.__new__``'s locked section can run
-    this, so it must not take the lock, which is not reentrant.  Nor may it
-    look the entry up and then delete it: in between, another thread may
-    register a live node under the key.  ``_remove_dead_weakref`` deletes
+    It must not look the entry up and then delete it: in between, another
+    thread may register a live node under the key.  ``_remove_dead_weakref`` deletes
     in C, atomically, and only if the entry is still a dead reference.
     """
     _remove_dead_weakref(_interned, ref.key)

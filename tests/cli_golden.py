@@ -70,6 +70,9 @@ def cases() -> dict:
     table = {}
     for name in SYSTEMS:
         table[f"prove/{name}"] = lambda name=name: run(["prove", _file(name), "--json", "-"])
+        table[f"prove/{name}/seeds-size-6"] = lambda name=name: run(
+            ["prove", _file(name), "--seeds-size", "6", "--json", "-"]
+        )
         table[f"check-witness/{name}"] = lambda name=name: run(
             ["check-witness", _file(name), "--seeds-size", "3", "--json", "-"]
         )

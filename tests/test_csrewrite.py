@@ -196,9 +196,31 @@ def test_settled_memo_equals_explore_on_random_systems():
     for _ in range(60):
         cs = unravel_cs(_random_dctrs(rng))
         seeds = enumerate_original_terms(cs.signature, 3)
-        for fuel in (Fuel(max_steps=3), Fuel(max_steps=10), Fuel(max_steps=30, max_term_size=8)):
+        # The last fuel's size bound is below the seeds': a seed settled as
+        # a start may be too large to count as another seed's reduct.
+        fuels = (
+            Fuel(max_steps=3),
+            Fuel(max_steps=10),
+            Fuel(max_steps=30, max_term_size=8),
+            Fuel(max_steps=30, max_term_size=1),
+        )
+        for fuel in fuels:
             outcomes.add(assert_same_verdict(seeds, cs, fuel).outcome)
     assert outcomes == {"terminates", "loop", "unknown"}
+
+
+@pytest.mark.parametrize("name", ["even_odd", "minus_le", "less"])
+def test_seeds_are_answered_from_settled_reducts(monkeypatch, name):
+    # Seeds come smallest first, and on these systems every reduct of a seed
+    # is a smaller seed or a normal form, so no seed needs a search.
+    calls = []
+    real = csrewrite._loop_search
+    monkeypatch.setattr(csrewrite, "_loop_search", lambda *a: calls.append(a[0]) or real(*a))
+    cs = unravel_cs(load_system(name))
+    seeds = enumerate_original_terms(cs.signature, 6)
+    verdict = mu_terminating_on_seeds(seeds, cs)
+    assert calls == []
+    assert verdict.outcome == "terminates" and verdict == explore_each_seed(seeds, cs, Fuel())
 
 
 def test_enumerate_original_terms(bubble):

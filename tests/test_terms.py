@@ -459,11 +459,53 @@ def test_a_late_callback_keeps_the_live_entry():
     assert App(f, (zero,)) is u
 
 
+def test_threads_replacing_dead_entries_build_one_term_per_key():
+    # Dead references whose callbacks have not run yet, as between the two
+    # within a collection, sit under every key while four threads build the
+    # terms at once: each key must still yield one object.
+    f = FunSym("dead_f", 1)
+    n, threads = 200, 4
+    leaves = [App(FunSym(f"dead_leaf_{i}", 0)) for i in range(n)]
+    keys = [(f, (leaf,)) for leaf in leaves]
+    stale = []
+    for key in keys:
+        t = App(*key)
+        stale.append(terms._interned[key])
+        del t
+    gc.collect()
+    assert all(ref() is None for ref in stale)
+    assert not any(key in terms._interned for key in keys)
+    for key, ref in zip(keys, stale):
+        terms._interned[key] = ref
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+
+    def build(k):
+        barrier.wait(timeout=60)
+        results[k] = [App(*key) for key in keys]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(k,)) for k in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(w.is_alive() for w in workers)
+    assert all(r is not None and len(r) == n for r in results)
+    for i, key in enumerate(keys):
+        assert all(r[i] is results[0][i] for r in results[1:])
+        assert terms._interned[key]() is results[0][i]
+
+
 def test_collections_inside_the_intern_lock_neither_deadlock_nor_split_terms():
     # Every worker drops reference cycles that hold fresh terms.  Collecting
     # at nearly every allocation kills those terms, and runs their callbacks,
-    # inside the locked section of other constructions, where a callback
-    # that took the (non-reentrant) lock would deadlock.
+    # in the middle of other constructions, where a callback that took the
+    # (non-reentrant) intern lock could deadlock.
     a, g, h = FunSym("gc_a", 0), FunSym("gc_g", 1), FunSym("gc_h", 1)
     f = FunSym("gc_f", 2)
     slots, threads = 300, 4
