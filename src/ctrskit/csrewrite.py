@@ -19,7 +19,7 @@ substitutions, are built from it only for certificates and exports.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .ctrs import (
@@ -301,10 +301,7 @@ def enumerate_original_terms(signature: Sequence[FunSym], max_size: int) -> list
                 if size == 1:
                     bucket.append(App(sym))
                 continue
-            budget = size - 1
-            if budget < sym.arity:
-                continue
-            for parts in _compositions(budget, sym.arity):
+            for parts in _compositions(size - 1, sym.arity):
                 for args in product(*(by_size[p] for p in parts)):
                     bucket.append(App(sym, args))
         by_size[size] = bucket
@@ -312,10 +309,8 @@ def enumerate_original_terms(signature: Sequence[FunSym], max_size: int) -> list
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    """Orderings of ``total`` into ``parts`` positive integers, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Orderings of ``total`` into ``parts`` positive integers, lexicographic:
+    the gaps between ``parts - 1`` cut points strictly inside ``(0, total)``."""
+    for cuts in combinations(range(1, total), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))

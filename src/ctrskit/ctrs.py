@@ -24,15 +24,16 @@ order, its root redexes as (rule id, substitution, right-hand side instance,
 level), and ``(index, entry)`` for each argument, ascending, that has a
 target.  The steps are the root steps, then each such argument's steps at
 its position: a preorder walk, so positions come out sorted.
-:func:`memo_steps` rebuilds them and :func:`memo_step` the first to a given
-target; no memo holds a step below the root.  A result is stored only if the
-operation's work budget was not spent when it was complete, so a later
-operation, with a fresh budget, recomputes what an earlier one could not
-finish.  So an entry holds its arguments' entries, not their keys: one left
-unstored must still rebuild the steps above it.  A warm engine spends less
-on subproblems it has already solved, so it can finish where a fresh one
-runs out of budget.  Whether a term holds a redex, all that a level-0 search
-asks, costs no budget and is not memoized.  The walks over a term's subterms
+:func:`memo_steps` rebuilds them; :func:`memo_step`, which only
+certificates call, is the first of them to a given target.  No memo holds a
+step below the root.  A result is stored only if the operation's work
+budget was not spent when it was complete, so a later operation, with a
+fresh budget, recomputes what an earlier one could not finish.  So an
+entry holds its arguments' entries, not their keys: one left unstored must
+still rebuild the steps above it.  A warm engine spends less on subproblems
+it has already solved, so it can finish where a fresh one runs out of
+budget.  Whether a term holds a redex, all that a level-0 search asks,
+costs no budget and is not memoized.  The walks over a term's subterms
 keep explicit stacks; only condition searches nest, at most ``max_level``
 deep.
 """
@@ -352,26 +353,13 @@ def memo_steps(s: Term, entry: tuple, kind: str) -> tuple[ReductionStep, ...]:
 
 
 def memo_step(s: Term, t: Term, entry: tuple, kind: str) -> ReductionStep:
-    """The first step of ``s`` to ``t``, one of its entry's targets: the edge
-    a search over targets takes, found by one walk down the entries.  Raises
-    :class:`ValueError` when ``t`` is not one of them."""
-    if t not in entry[0]:
-        raise ValueError(f"{term_to_str(t)} is not a one-step reduct of {term_to_str(s)}")
-    position, u, v = [], s, t
-    while True:  # v is a target of u, and entry is the entry of u
-        _, roots, below = entry
-        for rule_id, sigma, rhs, level in roots:
-            if rhs == v:
-                return ReductionStep(s, t, tuple(position), rule_id, sigma, kind, level)
-        # No root step reaches v, so v is u with one argument rewritten.
-        args, goal = u.args, v.args
-        i, entry = next(
-            (i, e)
-            for i, e in below
-            if goal[i - 1] in e[0] and goal[: i - 1] == args[: i - 1] and goal[i:] == args[i:]
-        )
-        position.append(i)
-        u, v = args[i - 1], goal[i - 1]
+    """The first step in :func:`memo_steps` whose target is ``t``: the edge
+    a search over targets takes.  Raises :class:`ValueError` when ``t`` is
+    not a one-step reduct of ``s``."""
+    for step in memo_steps(s, entry, kind):
+        if step.target == t:
+            return step
+    raise ValueError(f"{term_to_str(t)} is not a one-step reduct of {term_to_str(s)}")
 
 
 # -- the shared search primitives ------------------------------------------

@@ -14,10 +14,10 @@ which does so atomically and only while the entry is still dead, and a new
 node is registered with one ``dict.setdefault``, so the table needs no lock.  An
 application computes its size and whether it is original (free of
 unraveling symbols) once, at construction, from the same attributes of its
-arguments.  Function symbols are interned too, in a weak table keyed by
-name and arity, so two symbols are equal exactly when they are the same
-object and both symbols and applications hash by identity.  Variables
-compare by value.
+arguments.  Function symbols are interned in the same table, keyed by name
+and arity, through the same registration, so two symbols are equal exactly
+when they are the same object and both symbols and applications hash by
+identity.  Variables compare by value.
 Positions are 1-indexed integer tuples; the empty tuple is the root.
 
 No function here recurses once per term level.  Matching, substitution,
@@ -29,9 +29,7 @@ depth can be walked whatever the interpreter's recursion limit.
 from __future__ import annotations
 
 import re
-import threading
-import weakref
-from _weakref import _remove_dead_weakref
+from _weakref import _remove_dead_weakref, ref
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .records import Frozen
@@ -62,9 +60,11 @@ class FunSym:
 
     Symbols are interned: ``FunSym(name, arity)`` returns the one live
     symbol with that name and arity, so equality and hashing are the
-    identity defaults.  A weak table, filled under the intern lock, maps
-    each (name, arity) to its symbol.  Symbols are immutable, and copying
-    or unpickling one returns the interned symbol.
+    identity defaults.  The applications' weak table maps each (name,
+    arity) to its symbol, registered without a lock by :func:`_register`,
+    and a dead symbol's entry leaves it as a dead application's does.
+    Symbols are immutable, and copying or unpickling one returns the
+    interned symbol.
 
     ``is_usymbol`` is set from the name, the only record of that fact: true
     exactly for the ``U<i>_<rule>`` names that :func:`default_u_symbol` gives
@@ -78,22 +78,22 @@ class FunSym:
 
     def __new__(cls, name: str, arity: int) -> "FunSym":
         key = (name, arity)
-        sym = _symbols.get(key)
-        if sym is not None:
-            return sym
+        entry = _interned.get(key)
+        if entry is not None:
+            sym = entry()
+            if sym is not None:
+                return sym
         if not name:
             raise ValueError("function symbol name must be non-empty")
         if arity < 0:
             raise ValueError(f"negative arity for {name!r}")
-        with _intern_lock:
-            sym = _symbols.get(key)
-            if sym is None:
-                sym = object.__new__(cls)
-                object.__setattr__(sym, "name", name)
-                object.__setattr__(sym, "arity", arity)
-                object.__setattr__(sym, "is_usymbol", _U_NAME.fullmatch(name) is not None)
-                _symbols[key] = sym
-            return sym
+        sym = object.__new__(cls)
+        object.__setattr__(sym, "name", name)
+        object.__setattr__(sym, "arity", arity)
+        object.__setattr__(sym, "is_usymbol", _U_NAME.fullmatch(name) is not None)
+        entry = _Entry(sym, _forget)
+        entry.key = key
+        return _register(entry)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"FunSym is immutable; cannot set {name!r}")
@@ -142,10 +142,11 @@ class App:
     reference.  A miss builds the node and registers it with one
     ``dict.setdefault``, which keeps an entry already there, so no lock is
     taken: every change to the table is one atomic operation.  When the
-    node dies, ``_forget`` drops its entry with an atomic C helper, which a
-    miss also uses on a dead entry whose callback has not run yet.  The
-    node count and the original flag are computed once, from the
-    arguments' cached values.  Nodes are immutable.
+    node dies, ``_forget`` drops its entry with an atomic C helper, which
+    :func:`_register` also uses on a dead entry whose callback has not run
+    yet, before it retries the registration.  The node count and the
+    original flag are computed once, from the arguments' cached values.
+    Nodes are immutable.
     """
 
     __slots__ = ("sym", "args", "_size", "_original", "__weakref__")
@@ -154,9 +155,9 @@ class App:
 
     def __new__(cls, sym: FunSym, args: tuple["Term", ...] = ()) -> "App":
         key = (sym, args)
-        ref = _interned.get(key)
-        if ref is not None:
-            node = ref()
+        entry = _interned.get(key)
+        if entry is not None:
+            node = entry()
             if node is not None:
                 return node
         if len(args) != sym.arity:
@@ -173,20 +174,13 @@ class App:
         _set_args(node, args)
         _set_size(node, size)
         _set_original(node, original)
-        ref = _Entry(node, _forget)
-        ref.key = key
-        # A node is registered only where its key is free, by one atomic
-        # setdefault: two equal live nodes would break non-linear matching and
-        # loop detection.  A dead entry whose callback has not run yet is
-        # dropped as ``_forget`` drops it, and the registration retried.
-        while True:
-            held = _interned.setdefault(key, ref)
-            if held is ref:
-                return node
-            live = held()
-            if live is not None:
-                return live
-            _remove_dead_weakref(_interned, key)
+        entry = _Entry(node, _forget)
+        entry.key = key
+        # A free key, the common case, is taken inline for speed; a held one
+        # goes through the registration that symbols use.
+        if _interned.setdefault(key, entry) is entry:
+            return node
+        return _register(entry)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"App is immutable; cannot set {name!r}")
@@ -212,28 +206,39 @@ _set_sym, _set_args, _set_size, _set_original = (
 )
 
 
-class _Entry(weakref.ref):
-    """A weak reference to an interned application that records its key."""
+class _Entry(ref):
+    """A weak reference to an interned object that records its key."""
 
     __slots__ = ("key",)
 
 
-def _forget(ref: _Entry) -> None:
-    """Drop the table entry of a dead application.
+def _forget(entry: _Entry) -> None:
+    """Drop the table entry of a dead object.
 
     It must not look the entry up and then delete it: in between, another
-    thread may register a live node under the key.  ``_remove_dead_weakref`` deletes
-    in C, atomically, and only if the entry is still a dead reference.
+    thread may register a live object under the key.  ``_remove_dead_weakref``
+    deletes in C, atomically, and only if the entry is still a dead reference.
     """
-    _remove_dead_weakref(_interned, ref.key)
+    _remove_dead_weakref(_interned, entry.key)
 
 
-# The intern table: (symbol, arguments) -> a weak reference to the live
-# application built from them.  Entries vanish with their application.
+def _register(entry: _Entry):
+    """The live object under ``entry.key``: ``entry``'s own, registered by
+    one atomic ``dict.setdefault`` where the key is free, or the one already
+    there.  Two equal live objects would break non-linear matching and loop
+    detection.  A dead entry whose callback has not run yet is dropped as
+    ``_forget`` drops it, and the registration retried."""
+    key = entry.key
+    while True:
+        live = _interned.setdefault(key, entry)()
+        if live is not None:
+            return live
+        _remove_dead_weakref(_interned, key)
+
+
+# The intern table: (symbol, arguments) or (name, arity) -> a weak reference
+# to the live application or symbol.  Entries vanish with their object.
 _interned: dict[tuple, _Entry] = {}
-_intern_lock = threading.Lock()
-# The symbol table: (name, arity) -> the live symbol with them.
-_symbols: "weakref.WeakValueDictionary[tuple[str, int], FunSym]" = weakref.WeakValueDictionary()
 
 Term = Union[Var, App]
 

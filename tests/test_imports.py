@@ -75,6 +75,14 @@ def test_importing_the_cli_loads_no_lazy_module():
     assert child.stdout.strip() == "[]"
 
 
+def test_interning_loads_neither_threading_nor_weakref():
+    # Terms and symbols register in their table without a lock, over
+    # ``_weakref`` references.
+    child = _fresh("import ctrskit.cli; print('threading' in sys.modules, 'weakref' in sys.modules)")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False False"
+
+
 def test_experiment_with_workers_and_an_external_tool_in_a_fresh_interpreter(tmp_path):
     # The modules imported on demand load when they are needed.
     (tmp_path / "one.ctrs").write_text("(VAR x)\n(RULES f(f(x)) -> f(x))\n")

@@ -422,8 +422,9 @@ def test_dead_terms_leave_the_intern_table():
     pair = FunSym("drop_pair", 2)
     leaves = [App(FunSym(f"drop_{i}", 0)) for i in range(100)]
     fresh = [App(pair, (x, y)) for x in leaves for y in leaves]
-    assert len(terms._interned) == baseline + 100 + 10_000
-    del fresh, leaves
+    # Symbols share the table: 101 symbols, 100 leaves and 10,000 pairs.
+    assert len(terms._interned) == baseline + 101 + 100 + 10_000
+    del fresh, leaves, pair
     gc.collect()
     assert len(terms._interned) == baseline
 
@@ -501,11 +502,12 @@ def test_threads_replacing_dead_entries_build_one_term_per_key():
         assert terms._interned[key]() is results[0][i]
 
 
-def test_collections_inside_the_intern_lock_neither_deadlock_nor_split_terms():
+def test_collections_during_registration_neither_deadlock_nor_split_terms():
     # Every worker drops reference cycles that hold fresh terms.  Collecting
     # at nearly every allocation kills those terms, and runs their callbacks,
-    # in the middle of other constructions, where a callback that took the
-    # (non-reentrant) intern lock could deadlock.
+    # in the middle of other constructions, between a registration's
+    # setdefault and its retry: a callback must neither block there nor
+    # drop a live entry.
     a, g, h = FunSym("gc_a", 0), FunSym("gc_g", 1), FunSym("gc_h", 1)
     f = FunSym("gc_f", 2)
     slots, threads = 300, 4
